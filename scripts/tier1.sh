@@ -5,7 +5,8 @@
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
-# bugs like to hide) plus the multi-population fusion suite, and finally a
+# bugs like to hide) plus the multi-population fusion and streaming suites
+# (snapshot-cache invalidation and rejected-shard paths), and finally a
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
 # shards + merge-on-read), the log sinks, the full serve suite (epoll I/O
 # threads trading connections, atomic stop flags, the stop/wait handshake),
@@ -51,7 +52,8 @@ else
   echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log suites"
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j \
-    --target test_fault_injection test_telemetry test_log test_fusion
+    --target test_fault_injection test_telemetry test_log test_fusion \
+    test_streaming
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -63,6 +65,11 @@ else
   # unwind across estimator internals — prime ASan territory.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fusion
+  # Streaming core: the snapshot-cache invalidation tests (a batch observe
+  # that throws mid-way, a snapshot that throws) and the rejected-shard
+  # checks unwind through the cached-result code.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_streaming
 
   # Perf smoke: the micro_circuit parity mode replays the Monte Carlo fast
   # path (workspace reuse, raw row writes, streaming reduction) against the

@@ -66,6 +66,8 @@ constexpr const char* kHealthCounters[] = {
     "core.cv.selections",
     "core.cv.grid_points",
     "core.cv.disqualified_points",
+    "core.stream.snapshots",
+    "core.stream.snapshot_reuses",
     "core.loglik.fallback_jitter",
     "core.loglik.fallback_ldlt",
     "fusion.observed_samples",

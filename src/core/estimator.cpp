@@ -152,6 +152,7 @@ void MomentEstimator::set_nominal(const linalg::Vector& nominal) {
   BMFUSION_REQUIRE(nominal.size() >= 1,
                    "set_nominal needs a non-empty nominal vector");
   require_finite_inputs(linalg::Matrix(), nominal, name());
+  snapshot_cache_.reset();
   nominal_ = nominal;
   on_nominal_changed();
 }
@@ -173,6 +174,7 @@ void MomentEstimator::observe_row(const linalg::Vector& sample) {
   BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
   require_finite_sample(sample, name());
   ensure_streams(sample.size());
+  snapshot_cache_.reset();
   streams_[observed_ % streams_.size()].add(stream_transform(sample));
   ++observed_;
 }
@@ -199,6 +201,7 @@ void MomentEstimator::absorb(const SufficientStats& stats) {
                    "absorb needs statistics with dimension >= 1");
   require_finite_stats(stats, name());
   ensure_streams(stats.dimension());
+  snapshot_cache_.reset();
   streams_[absorb_cursor_ % streams_.size()].absorb(
       stream_transform_stats(stats));
   ++absorb_cursor_;
@@ -207,6 +210,8 @@ void MomentEstimator::absorb(const SufficientStats& stats) {
 }
 
 void MomentEstimator::absorb(const stats::StatsShard& shard) {
+  // Check the whole shard before any state changes: a refused shard must
+  // neither fix the nominal nor pin the stream dimension.
   if (!shard.estimator.empty() && shard.estimator != name()) {
     throw DataError(
         "stats shard estimator tag does not match this estimator",
@@ -214,38 +219,51 @@ void MomentEstimator::absorb(const stats::StatsShard& shard) {
             .with_operation(std::string(name()))
             .with_detail("shard tagged '" + shard.estimator + "'"));
   }
-  if (shard.nominal.size() != 0) {
-    if (nominal_.size() == 0) {
-      if (observed_ == 0) {
-        set_nominal(shard.nominal);
-      }
-    } else if (!(shard.nominal == nominal_)) {
-      throw DataError("stats shard nominal does not match this estimator's",
-                      ErrorContext{}
-                          .with_operation(std::string(name()))
-                          .with_dimension(nominal_.size()));
-    }
-  }
-  const std::size_t dim = shard.dimension();
-  if (dim == 0) return;  // empty shard: nothing to merge
-  if (!streams_.empty() && streams_.front().dimension() != dim) {
-    throw DataError(
-        "stats shard dimension does not match this estimator",
-        ErrorContext{}
-            .with_operation(std::string(name()))
-            .with_dimension(streams_.front().dimension())
-            .with_detail("shard " + std::to_string(shard.shard_id) +
-                         " carries dimension " + std::to_string(dim)));
-  }
-  ensure_streams(dim);
-  if (shard.folds.size() != streams_.size()) {
-    throw DataError("stats shard fold count does not match this estimator",
+  if (shard.nominal.size() != 0 && nominal_.size() != 0 &&
+      !(shard.nominal == nominal_)) {
+    throw DataError("stats shard nominal does not match this estimator's",
                     ErrorContext{}
                         .with_operation(std::string(name()))
-                        .with_detail(std::to_string(streams_.size()) +
-                                     " folds here, shard has " +
-                                     std::to_string(shard.folds.size())));
+                        .with_dimension(nominal_.size()));
   }
+  const std::size_t dim = shard.dimension();
+  if (dim != 0) {
+    if (!streams_.empty() && streams_.front().dimension() != dim) {
+      throw DataError(
+          "stats shard dimension does not match this estimator",
+          ErrorContext{}
+              .with_operation(std::string(name()))
+              .with_dimension(streams_.front().dimension())
+              .with_detail("shard " + std::to_string(shard.shard_id) +
+                           " carries dimension " + std::to_string(dim)));
+    }
+    bool consistent = shard.nominal.size() == 0 || shard.nominal.size() == dim;
+    for (const stats::StatStream& fold : shard.folds) {
+      consistent = consistent && (fold.count() == 0 || fold.dimension() == dim);
+    }
+    if (!consistent) {
+      throw DataError("stats shard folds and nominal disagree on dimension",
+                      ErrorContext{}
+                          .with_operation(std::string(name()))
+                          .with_dimension(dim));
+    }
+    const std::size_t folds =
+        streams_.empty() ? stream_folds() : streams_.size();
+    if (shard.folds.size() != folds) {
+      throw DataError("stats shard fold count does not match this estimator",
+                      ErrorContext{}
+                          .with_operation(std::string(name()))
+                          .with_detail(std::to_string(folds) +
+                                       " folds here, shard has " +
+                                       std::to_string(shard.folds.size())));
+    }
+  }
+  if (shard.nominal.size() != 0 && nominal_.size() == 0 && observed_ == 0) {
+    set_nominal(shard.nominal);
+  }
+  if (dim == 0) return;  // empty shard: nothing to merge
+  ensure_streams(dim);
+  snapshot_cache_.reset();
   std::size_t added = 0;
   for (std::size_t f = 0; f < streams_.size(); ++f) {
     streams_[f].merge(shard.folds[f]);
@@ -266,6 +284,7 @@ void MomentEstimator::merge(const MomentEstimator& other) {
   ensure_streams(other.streams_.front().dimension());
   BMFUSION_REQUIRE(streams_.size() == other.streams_.size(),
                    "merge needs matching fold counts");
+  snapshot_cache_.reset();
   for (std::size_t f = 0; f < streams_.size(); ++f) {
     streams_[f].merge(other.streams_[f]);
   }
@@ -275,6 +294,11 @@ void MomentEstimator::merge(const MomentEstimator& other) {
 EstimateResult MomentEstimator::snapshot() const {
   BMFUSION_REQUIRE(observed_ >= 1,
                    "snapshot needs at least one observed sample");
+  BMF_COUNTER_ADD("core.stream.snapshots", 1);
+  if (snapshot_cache_.has_value()) {
+    BMF_COUNTER_ADD("core.stream.snapshot_reuses", 1);
+    return *snapshot_cache_;
+  }
   const std::size_t dim = streams_.front().dimension();
   std::vector<SufficientStats> fold_totals;
   fold_totals.reserve(streams_.size());
@@ -283,8 +307,8 @@ EstimateResult MomentEstimator::snapshot() const {
                                          : stream.totals());
   }
   BMF_SPAN("estimator_snapshot");
-  BMF_COUNTER_ADD("core.stream.snapshots", 1);
-  return do_snapshot(fold_totals, nominal_);
+  snapshot_cache_ = do_snapshot(fold_totals, nominal_);
+  return *snapshot_cache_;
 }
 
 stats::StatsShard MomentEstimator::export_shard(std::uint64_t shard_id) const {
@@ -299,6 +323,7 @@ stats::StatsShard MomentEstimator::export_shard(std::uint64_t shard_id) const {
 }
 
 void MomentEstimator::reset_stream() {
+  snapshot_cache_.reset();
   streams_.clear();
   observed_ = 0;
   absorb_cursor_ = 0;

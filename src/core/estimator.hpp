@@ -21,12 +21,15 @@
 //     export_shard()/absorb(StatsShard) move that state across the wire.
 //
 // Conjugacy is what makes the streaming surface cheap: a new sample is an
-// O(d^2) statistics update, and snapshot() is O(d^3) regardless of how many
-// samples the stream has absorbed.
+// O(d^2) statistics update, and a first snapshot() runs the strategy's
+// hyper-parameter selection (the CV grid for BMF, O(grid * folds * d^3))
+// from fold statistics alone, however many samples the stream absorbed. A
+// repeat snapshot() of an unchanged stream is a copy of the cached result.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -119,7 +122,9 @@ class MomentEstimator {
   /// stream space). Shard estimator tags must match name() when present;
   /// fold counts must agree; a shard nominal adopts into an untouched
   /// stream and must match an established one. Throws DataError on
-  /// mismatched shards.
+  /// mismatched shards; the whole shard is checked before any state
+  /// changes, so a rejected shard leaves the estimator (nominal included)
+  /// as it was.
   void absorb(const stats::StatsShard& shard);
 
   /// Appends `other`'s stream after this one, fold by fold (concatenation
@@ -129,7 +134,12 @@ class MomentEstimator {
 
   /// Estimate from everything observed so far. Requires >= 1 sample (some
   /// strategies need more; they throw the same errors as their batch path).
-  /// Repeatable: snapshot() does not disturb the stream.
+  /// Repeatable: snapshot() does not disturb the stream. The result is
+  /// cached until the next set_nominal/observe/absorb/merge/reset_stream,
+  /// so a repeat call on an unchanged stream returns a copy without
+  /// rerunning the selection; a throwing snapshot caches nothing.
+  /// Threading: snapshot() fills that cache, so concurrent calls on one
+  /// estimator need the caller's lock, as every mutator does.
   [[nodiscard]] EstimateResult snapshot() const;
 
   /// Samples observed/absorbed/merged into the stream so far.
@@ -202,6 +212,9 @@ class MomentEstimator {
   linalg::Vector nominal_;                  ///< empty until set_nominal
   std::size_t observed_ = 0;                ///< samples streamed so far
   std::size_t absorb_cursor_ = 0;           ///< round-robin fold for absorb
+  /// Last snapshot() result; every mutator clears it before its first
+  /// write (mutable: snapshot() is const).
+  mutable std::optional<EstimateResult> snapshot_cache_;
 };
 
 /// The paper's baseline (eqs. 10-11) behind the unified interface. Ignores

@@ -319,11 +319,10 @@ std::string handle_absorb(SessionRegistry& registry,
   const std::string id = required_string(request, "session");
   const stats::StatsShard shard =
       stats::shard_from_json(required_member(request, "shard"));
-  const std::shared_ptr<Session> session = registry.get(id);
-  const bool absorbed = session->absorb(shard);
+  const Counted<bool> absorbed = registry.get(id)->absorb(shard);
   std::string out = response_head("absorb", id);
-  out += absorbed ? ",\"duplicate\":false" : ",\"duplicate\":true";
-  out += ",\"total\":" + std::to_string(session->observed_count()) + "}";
+  out += absorbed.value ? ",\"duplicate\":false" : ",\"duplicate\":true";
+  out += ",\"total\":" + std::to_string(absorbed.total) + "}";
   return out;
 }
 
@@ -377,9 +376,10 @@ void append_estimate(std::string& out, const core::EstimateResult& result) {
 /// usable samples, and the borrowing diagnostics.
 std::string fusion_estimate_response(const std::string& id,
                                      const Session& session) {
-  const fusion::FusionSnapshot snapshot = session.estimate_fusion();
+  const Counted<fusion::FusionSnapshot> counted = session.estimate_fusion();
+  const fusion::FusionSnapshot& snapshot = counted.value;
   std::string out = response_head("estimate", id);
-  out += ",\"count\":" + std::to_string(session.observed_count());
+  out += ",\"count\":" + std::to_string(counted.total);
   out += ",\"observed_populations\":" +
          std::to_string(snapshot.observed_populations);
   out += ",\"signal_variance\":";
@@ -420,11 +420,11 @@ std::string handle_estimate(SessionRegistry& registry,
   const std::string id = required_string(request, "session");
   const std::shared_ptr<Session> session = registry.get(id);
   if (session->is_fusion()) return fusion_estimate_response(id, *session);
-  const core::EstimateResult result = session->estimate();
+  const Counted<core::EstimateResult> result = session->estimate();
   std::string out = response_head("estimate", id);
-  out += ",\"count\":" + std::to_string(session->observed_count());
+  out += ",\"count\":" + std::to_string(result.total);
   out += ",\"estimate\":";
-  append_estimate(out, result);
+  append_estimate(out, result.value);
   out += '}';
   return out;
 }
@@ -668,11 +668,10 @@ std::string binary_absorb(SessionRegistry& registry, std::string_view payload,
   PayloadReader reader(payload);
   session_id.assign(reader.read_string());
   const stats::StatsShard shard = stats::parse_shard(reader.rest());
-  const std::shared_ptr<Session> session = registry.get(session_id);
-  const bool absorbed = session->absorb(shard);
+  const Counted<bool> absorbed = registry.get(session_id)->absorb(shard);
   std::string out;
-  out += static_cast<char>(absorbed ? 0 : 1);  // duplicate marker
-  wire::append_u64(out, session->observed_count());
+  out += static_cast<char>(absorbed.value ? 0 : 1);  // duplicate marker
+  wire::append_u64(out, absorbed.total);
   return out;
 }
 

@@ -265,13 +265,13 @@ std::size_t Session::observe(const Matrix& samples, std::size_t population) {
   return observed_total();
 }
 
-bool Session::absorb(const stats::StatsShard& shard) {
+Counted<bool> Session::absorb(const stats::StatsShard& shard) {
   std::lock_guard<std::mutex> lock(mutex_);
   check_population(static_cast<std::size_t>(shard.population_id),
                    "serve_absorb");
   const std::pair<std::uint64_t, std::uint64_t> key{shard.population_id,
                                                     shard.shard_id};
-  if (!absorbed_shards_.insert(key).second) return false;
+  if (!absorbed_shards_.insert(key).second) return {false, observed_total()};
   try {
     if (fusion_ != nullptr) {
       fusion_->absorb(shard);
@@ -282,7 +282,7 @@ bool Session::absorb(const stats::StatsShard& shard) {
     absorbed_shards_.erase(key);
     throw;
   }
-  return true;
+  return {true, observed_total()};
 }
 
 stats::StatsShard Session::export_shard(std::uint64_t shard_id,
@@ -293,7 +293,7 @@ stats::StatsShard Session::export_shard(std::uint64_t shard_id,
                             : estimator_->export_shard(shard_id);
 }
 
-core::EstimateResult Session::estimate() const {
+Counted<core::EstimateResult> Session::estimate() const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fusion_ != nullptr) {
     throw DataError("fusion sessions answer joint estimates",
@@ -303,10 +303,10 @@ core::EstimateResult Session::estimate() const {
   // The heavy lifting (the CV grid sweep) runs on the shared parallel_for
   // pool; this connection thread only holds the session lock.
   BMF_SCOPED_TIMER_US("serve.estimate_us");
-  return estimator_->snapshot();
+  return {estimator_->snapshot(), observed_total()};
 }
 
-fusion::FusionSnapshot Session::estimate_fusion() const {
+Counted<fusion::FusionSnapshot> Session::estimate_fusion() const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fusion_ == nullptr) {
     throw DataError("session is not a fusion session",
@@ -314,7 +314,7 @@ fusion::FusionSnapshot Session::estimate_fusion() const {
                         .with_detail("id: " + id_));
   }
   BMF_SCOPED_TIMER_US("serve.estimate_us");
-  return fusion_->snapshot();
+  return {fusion_->snapshot(), observed_total()};
 }
 
 std::size_t Session::observed_count() const {

@@ -71,6 +71,15 @@ make_fusion_estimator(const JsonValue& spec);
 [[nodiscard]] linalg::Matrix parse_matrix(const JsonValue& value,
                                           const std::string& what);
 
+/// A session call's result together with the session's total sample count
+/// (summed over populations), both read under one lock acquisition so a
+/// concurrent write cannot make the count describe a different stream.
+template <typename T>
+struct Counted {
+  T value;
+  std::size_t total = 0;
+};
+
 /// One session: a named streaming estimator plus its shard cache. A session
 /// is either single-population (one MomentEstimator; every population index
 /// must be 0) or a fusion session (a MultiPopulationEstimator; population
@@ -98,10 +107,10 @@ class Session {
                       std::size_t population = 0);
 
   /// Absorbs a wire shard unless its (population, shard id) pair was
-  /// already absorbed into this session. Returns false (and leaves the
-  /// stream untouched) for such duplicates. Fusion sessions route by the
-  /// shard's own population id.
-  bool absorb(const stats::StatsShard& shard);
+  /// already absorbed into this session. `value` is false (and the stream
+  /// untouched) for such duplicates. Fusion sessions route by the shard's
+  /// own population id.
+  Counted<bool> absorb(const stats::StatsShard& shard);
 
   /// The session's stream state as a wire shard (population `population`'s
   /// stream for fusion sessions, tagged with that id).
@@ -109,11 +118,12 @@ class Session {
       std::uint64_t shard_id, std::size_t population = 0) const;
 
   /// Snapshot of the stream (>= 1 observed sample required, as per the
-  /// estimator contract). Single-population sessions only.
-  [[nodiscard]] core::EstimateResult estimate() const;
+  /// estimator contract). Single-population sessions only. Repeat calls on
+  /// an unchanged session are answered from the estimator's snapshot cache.
+  [[nodiscard]] Counted<core::EstimateResult> estimate() const;
 
   /// Joint snapshot of a fusion session (throws on single-population ones).
-  [[nodiscard]] fusion::FusionSnapshot estimate_fusion() const;
+  [[nodiscard]] Counted<fusion::FusionSnapshot> estimate_fusion() const;
 
   [[nodiscard]] std::size_t observed_count() const;
 

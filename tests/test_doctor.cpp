@@ -179,6 +179,37 @@ TEST(Diagnose, SnapshotSectionExtractsCountersRatesAndFindings) {
             report.findings.size());
 }
 
+TEST(Diagnose, SnapshotReuseCountersAreListed) {
+  // Repeat estimates of unchanged streams are answered from the estimator's
+  // snapshot cache; the doctor lists both counters so the reuse share of a
+  // run (reuses / snapshots) is visible next to the CV grid counters.
+  const std::string snapshot = write_temp_file(
+      "bmf_doctor_snapshot_reuse.json", R"({
+        "counters": {
+          "core.cv.grid_points": 864,
+          "core.stream.snapshots": 40,
+          "core.stream.snapshot_reuses": 34
+        }
+      })");
+  DoctorInputs inputs;
+  inputs.snapshot_path = snapshot;
+  const RunReport report = diagnose_run(inputs);
+
+  double snapshots = -1.0;
+  double reuses = -1.0;
+  for (const CounterReading& counter : report.health_counters) {
+    if (counter.name == "core.stream.snapshots") snapshots = counter.value;
+    if (counter.name == "core.stream.snapshot_reuses") reuses = counter.value;
+  }
+  EXPECT_DOUBLE_EQ(snapshots, 40.0);
+  EXPECT_DOUBLE_EQ(reuses, 34.0);
+  const std::string markdown = report.to_markdown();
+  EXPECT_NE(markdown.find("core.stream.snapshot_reuses"), std::string::npos);
+  EXPECT_NE(parse_json(report.to_json()).find("health_counters")->find(
+                "core.stream.snapshots"),
+            nullptr);
+}
+
 TEST(Diagnose, FusionSectionSummarizesPopulationsAndShrinkage) {
   const std::string snapshot = write_temp_file(
       "bmf_doctor_fusion.json", R"({

@@ -20,6 +20,7 @@
 #include "linalg/vector.hpp"
 #include "stats/rng.hpp"
 #include "stats/stat_wire.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bmfusion {
 namespace {
@@ -472,6 +473,109 @@ TEST(MultiPopulation, FusedBeatsIndependentOnHeldOutPopulation) {
   const double independent_rmse = std::sqrt(independent_sq / terms);
   EXPECT_LT(fused_rmse, independent_rmse)
       << "fused " << fused_rmse << " vs independent " << independent_rmse;
+}
+
+// ------------------------------------------------------- snapshot reuse
+
+void expect_same_snapshot(const FusionSnapshot& a, const FusionSnapshot& b) {
+  ASSERT_EQ(a.populations.size(), b.populations.size());
+  EXPECT_EQ(a.signal_variance, b.signal_variance);
+  EXPECT_EQ(a.observed_populations, b.observed_populations);
+  for (std::size_t p = 0; p < a.populations.size(); ++p) {
+    SCOPED_TRACE("population " + std::to_string(p));
+    EXPECT_EQ(a.populations[p].observed, b.populations[p].observed);
+    EXPECT_EQ(a.populations[p].borrowed_kappa, b.populations[p].borrowed_kappa);
+    EXPECT_EQ(a.populations[p].anchor_shift, b.populations[p].anchor_shift);
+    expect_bitwise_equal(a.populations[p].independent,
+                         b.populations[p].independent);
+    expect_bitwise_equal(a.populations[p].fused, b.populations[p].fused);
+  }
+}
+
+std::uint64_t grid_points() {
+  return telemetry::Registry::instance().counter("core.cv.grid_points").total();
+}
+
+/// Three correlated corners whose means drift apart in metric 0, each
+/// shipped as one 128-row shard, plus a second 64-row shard for population 1.
+struct CornerShards {
+  std::vector<PopulationSpec> specs = shared_early_specs(3, 2);
+  Matrix correlation = Matrix::identity(3);
+  std::vector<StatsShard> first;
+  StatsShard extra;
+
+  CornerShards() {
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        if (r != c) correlation(r, c) = 0.7;
+      }
+    }
+    for (std::size_t p = 0; p < 3; ++p) {
+      stats::Xoshiro256pp rng(5100 + p);
+      Vector mean = specs[p].early.moments.mean;
+      mean[0] += 0.3 * static_cast<double>(p + 1);
+      const Vector sigma = sigma_of(specs[p]);
+      first.push_back(
+          shard_of(p, 10 + p, gaussian_samples(128, mean, sigma, rng)));
+      if (p == 1) {
+        extra = shard_of(p, 20, gaussian_samples(64, mean, sigma, rng));
+      }
+    }
+  }
+
+  StatsShard shard_of(std::size_t p, std::uint64_t id,
+                      const Matrix& rows) const {
+    MultiPopulationEstimator producer(specs, fast_config());
+    producer.observe(p, rows);
+    return producer.export_shard(p, id);
+  }
+};
+
+TEST(MultiPopulation, AbsorbAfterSnapshotRerunsOnlyThatPopulationsGrid) {
+  const CornerShards data;
+  const FusionConfig config = fast_config();
+  MultiPopulationEstimator cached(data.specs, config);
+  cached.set_correlation(data.correlation);
+  for (const StatsShard& shard : data.first) cached.absorb(shard);
+  (void)cached.snapshot();
+
+  const std::uint64_t before = grid_points();
+  cached.absorb(data.extra);
+  const FusionSnapshot after = cached.snapshot();
+  if (telemetry::enabled()) {
+    EXPECT_EQ(grid_points() - before,
+              config.bmf.cv.kappa_points * config.bmf.cv.nu_points);
+  }
+
+  MultiPopulationEstimator fresh(data.specs, config);
+  fresh.set_correlation(data.correlation);
+  for (const StatsShard& shard : data.first) fresh.absorb(shard);
+  fresh.absorb(data.extra);
+  expect_same_snapshot(after, fresh.snapshot());
+}
+
+TEST(MultiPopulation, SetCorrelationAfterSnapshotChangesTheFusedResult) {
+  // The per-population estimates are reused, but the borrowing stages run
+  // on every snapshot, so a new correlation takes effect at once.
+  const CornerShards data;
+  const FusionConfig config = fast_config();
+  MultiPopulationEstimator cached(data.specs, config);
+  for (const StatsShard& shard : data.first) cached.absorb(shard);
+  const FusionSnapshot independent = cached.snapshot();
+
+  const std::uint64_t before = grid_points();
+  cached.set_correlation(data.correlation);
+  const FusionSnapshot correlated = cached.snapshot();
+  if (telemetry::enabled()) EXPECT_EQ(grid_points(), before);
+  EXPECT_GT(correlated.populations[0].borrowed_kappa, 0.0);
+  EXPECT_GT(max_abs_diff(correlated.populations[0].fused.moments.mean,
+                         independent.populations[0].fused.moments.mean),
+            0.0);
+
+  MultiPopulationEstimator fresh(data.specs, config);
+  fresh.set_correlation(data.correlation);
+  for (const StatsShard& shard : data.first) fresh.absorb(shard);
+  expect_same_snapshot(correlated, fresh.snapshot());
 }
 
 // ------------------------------------------------------ config contracts

@@ -28,6 +28,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace bmfusion {
@@ -641,6 +642,178 @@ TEST(ServeFusion, JsonSessionRoutesPopulationsAndEstimatesJointly) {
   EXPECT_NE(slots[0].find("fused"), nullptr);
   EXPECT_EQ(slots[1].number_or("observed", 0.0), 48.0);
   EXPECT_NE(slots[1].find("independent"), nullptr);
+  server.stop();
+}
+
+// ----------------------------------------------------- snapshot reuse
+
+/// Open request for a 2-metric BMF session with a small CV grid.
+std::string bmf_open_request(const std::string& session) {
+  return "{\"op\":\"open\",\"session\":\"" + session +
+         "\",\"estimator\":\"bmf\",\"early\":{\"mean\":[0.0,0.5],"
+         "\"covariance\":[[1.0,0.0],[0.0,1.0]],\"nominal\":[0.0,0.5]},"
+         "\"config\":{\"shift_scale\":false,\"kappa_points\":4,"
+         "\"nu_points\":4}}";
+}
+
+/// A shard of `rows` split round-robin over the default 4 CV folds.
+stats::StatsShard fold_shard(const Matrix& rows, std::uint64_t id,
+                             std::uint64_t population = 0) {
+  stats::StatsShard shard;
+  shard.shard_id = id;
+  shard.population_id = population;
+  shard.folds.assign(4, stats::StatStream(rows.cols()));
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    shard.folds[r % 4].add(rows.row(r));
+  }
+  return shard;
+}
+
+/// The served {"mean","covariance","kappa0","nu0"} equal `expected` bit
+/// for bit (the protocol prints %.17g, which round-trips a double).
+void expect_served_estimate(const JsonValue& served,
+                            const core::EstimateResult& expected) {
+  const auto& mean = served.find("mean")->as_array();
+  ASSERT_EQ(mean.size(), expected.moments.mean.size());
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    EXPECT_EQ(mean[i].as_number(), expected.moments.mean[i]) << i;
+  }
+  const auto& covariance = served.find("covariance")->as_array();
+  for (std::size_t r = 0; r < covariance.size(); ++r) {
+    for (std::size_t c = 0; c < covariance[r].as_array().size(); ++c) {
+      EXPECT_EQ(covariance[r].as_array()[c].as_number(),
+                expected.moments.covariance(r, c));
+    }
+  }
+  EXPECT_EQ(served.number_or("kappa0", 0.0), expected.kappa0);
+  EXPECT_EQ(served.number_or("nu0", 0.0), expected.nu0);
+}
+
+TEST(ServeCache, EstimateAfterAbsorbIsFreshInBothWireModes) {
+  // estimate -> absorb -> estimate: the second answer must be the snapshot
+  // of both shards, not the first estimate served from the cache.
+  const std::string open = bmf_open_request("c");
+  const stats::StatsShard first = fold_shard(test_samples(48, 2, 0.0), 1);
+  const stats::StatsShard second = fold_shard(test_samples(32, 2, 0.7), 2);
+  const auto reference = [&](std::size_t shards) {
+    auto estimator = serve::make_estimator(parse_json(open));
+    estimator->absorb(first);
+    if (shards == 2) estimator->absorb(second);
+    return estimator->snapshot();
+  };
+
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "json");
+    Server server;
+    server.start();
+    serve::LineClient client;
+    ASSERT_TRUE(client.connect_to(server.port()));
+    if (binary) ASSERT_TRUE(client.negotiate_binary());
+    const auto json = [&](const std::string& request) {
+      std::string text;
+      serve::Frame frame;
+      if (binary) {
+        EXPECT_TRUE(client.request_frame(serve::wire::kJson, request, frame));
+        text = frame.payload;
+      } else {
+        EXPECT_TRUE(client.request(request, text));
+      }
+      return parse_json(text);
+    };
+    const auto absorb = [&](const stats::StatsShard& shard) {
+      if (!binary) {
+        return json("{\"op\":\"absorb\",\"session\":\"c\",\"shard\":" +
+                    stats::shard_to_json(shard) + "}")
+            .number_or("total", -1.0);
+      }
+      std::string payload;
+      serve::wire::append_string(payload, "c");
+      payload += stats::serialize_shard(shard);
+      serve::Frame frame;
+      EXPECT_TRUE(client.request_frame(serve::wire::kAbsorb, payload, frame));
+      EXPECT_TRUE(frame.ok());
+      std::uint64_t total = 0;
+      std::memcpy(&total, frame.payload.data() + 1, sizeof total);
+      return static_cast<double>(total);
+    };
+
+    ASSERT_TRUE(is_ok(json(open)));
+    EXPECT_EQ(absorb(first), 48.0);
+    const JsonValue before = json("{\"op\":\"estimate\",\"session\":\"c\"}");
+    ASSERT_TRUE(is_ok(before));
+    EXPECT_EQ(before.number_or("count", 0.0), 48.0);
+    expect_served_estimate(*before.find("estimate"), reference(1));
+
+    EXPECT_EQ(absorb(second), 80.0);
+    const JsonValue after = json("{\"op\":\"estimate\",\"session\":\"c\"}");
+    ASSERT_TRUE(is_ok(after));
+    EXPECT_EQ(after.number_or("count", 0.0), 80.0);
+    expect_served_estimate(*after.find("estimate"), reference(2));
+    server.stop();
+  }
+}
+
+TEST(ServeFusion, EstimateCountMatchesItsPopulationsUnderConcurrentAbsorbs) {
+  // Absorbs land in every population while another connection polls the
+  // joint estimate: each response's count must describe the same stream
+  // state as its populations.
+  constexpr std::size_t kPopulations = 3;
+  constexpr std::size_t kShards = 32;
+  Server server;
+  server.start();
+  const std::uint16_t port = server.port();
+  {
+    TestClient setup(port);
+    ASSERT_TRUE(setup.connected());
+    ASSERT_TRUE(is_ok(setup.round_trip(fusion_open_request("cc", 3))));
+    ASSERT_TRUE(is_ok(setup.round_trip(
+        "{\"op\":\"absorb\",\"session\":\"cc\",\"shard\":" +
+        stats::shard_to_json(fold_shard(test_samples(16, 2, 0.0), 1)) +
+        "}")));
+  }
+
+  std::atomic<std::size_t> writers_left{kPopulations};
+  std::vector<int> failures(kPopulations + 1, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < kPopulations; ++p) {
+    threads.emplace_back([&, p] {
+      TestClient client(port);
+      for (std::size_t i = 0; i < kShards && client.connected(); ++i) {
+        const stats::StatsShard shard = fold_shard(
+            test_samples(8, 2, 0.1 * static_cast<double>(i + p)),
+            100 * (p + 1) + i, p);
+        if (!is_ok(client.round_trip(
+                "{\"op\":\"absorb\",\"session\":\"cc\",\"shard\":" +
+                stats::shard_to_json(shard) + "}"))) {
+          failures[p] = 1;
+        }
+      }
+      if (!client.connected()) failures[p] = 2;
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    TestClient client(port);
+    std::size_t polls = 0;
+    while (client.connected() && (writers_left.load() > 0 || polls < 3)) {
+      const JsonValue estimate =
+          client.round_trip("{\"op\":\"estimate\",\"session\":\"cc\"}");
+      if (!is_ok(estimate)) {
+        failures[kPopulations] = 1;
+        return;
+      }
+      double observed = 0.0;
+      for (const JsonValue& pop : estimate.find("populations")->as_array()) {
+        observed += pop.number_or("observed", 0.0);
+      }
+      if (estimate.number_or("count", -1.0) != observed) {
+        failures[kPopulations] = 2;
+      }
+      ++polls;
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures, std::vector<int>(kPopulations + 1, 0));
   server.stop();
 }
 

@@ -6,8 +6,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/montecarlo.hpp"
@@ -20,6 +22,7 @@
 #include "stats/stat_stream.hpp"
 #include "stats/stat_wire.hpp"
 #include "stats/sufficient_stats.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bmfusion {
 namespace {
@@ -582,6 +585,215 @@ TEST(StreamingApi, ObserveScreensNonFiniteSamples) {
   Vector bad{1.0, std::numeric_limits<double>::quiet_NaN()};
   EXPECT_THROW(mle.observe(bad), DataError);
   EXPECT_EQ(mle.observed_count(), 0u);
+}
+
+// ------------------------------------------------------- snapshot cache
+
+/// Bit-for-bit equality of every EstimateResult field (NaN equals NaN).
+void expect_same_bits(const EstimateResult& a, const EstimateResult& b) {
+  const auto same = [](double x, double y) {
+    return (std::isnan(x) && std::isnan(y)) || x == y;
+  };
+  EXPECT_TRUE(a.moments.mean == b.moments.mean);
+  EXPECT_TRUE(a.moments.covariance == b.moments.covariance);
+  EXPECT_TRUE(a.scaled_moments.mean == b.scaled_moments.mean);
+  EXPECT_TRUE(a.scaled_moments.covariance == b.scaled_moments.covariance);
+  EXPECT_TRUE(same(a.kappa0, b.kappa0));
+  EXPECT_TRUE(same(a.nu0, b.nu0));
+  EXPECT_TRUE(same(a.score, b.score));
+  ASSERT_EQ(a.cv_grid.size(), b.cv_grid.size());
+  for (std::size_t i = 0; i < a.cv_grid.size(); ++i) {
+    EXPECT_EQ(a.cv_grid[i].kappa0, b.cv_grid[i].kappa0);
+    EXPECT_EQ(a.cv_grid[i].nu0, b.cv_grid[i].nu0);
+    EXPECT_TRUE(same(a.cv_grid[i].score, b.cv_grid[i].score)) << i;
+  }
+}
+
+std::uint64_t counter_total(const char* name) {
+  return telemetry::Registry::instance().counter(name).total();
+}
+
+/// A 3-metric BMF estimator over O(1) synthetic data with a small CV grid
+/// (4 folds x 4 x 4 points), streaming relative to `nominal`.
+BmfEstimator cache_bmf(const Vector& nominal) {
+  EarlyStageKnowledge early;
+  early.moments = estimate_mle(synthetic_samples(400, 3, 71));
+  early.nominal = Vector{0.0, 0.1, 0.2};
+  core::BmfConfig config;
+  config.cv.kappa_points = 4;
+  config.cv.nu_points = 4;
+  BmfEstimator bmf(early, config);
+  bmf.set_nominal(nominal);
+  return bmf;
+}
+
+const Vector kCacheNominal{0.02, 0.08, 0.25};
+
+TEST(SnapshotCache, RepeatSnapshotIsACopyWithoutAGridRun) {
+  BmfEstimator bmf = cache_bmf(kCacheNominal);
+  bmf.observe(synthetic_samples(64, 3, 73));
+  const EstimateResult first = bmf.snapshot();
+  const std::uint64_t grid_before = counter_total("core.cv.grid_points");
+  const std::uint64_t reuses_before =
+      counter_total("core.stream.snapshot_reuses");
+  const std::uint64_t snapshots_before = counter_total("core.stream.snapshots");
+  const EstimateResult second = bmf.snapshot();
+  expect_same_bits(second, first);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(counter_total("core.cv.grid_points"), grid_before);
+    EXPECT_EQ(counter_total("core.stream.snapshot_reuses"), reuses_before + 1);
+    EXPECT_EQ(counter_total("core.stream.snapshots"), snapshots_before + 1);
+  }
+}
+
+TEST(SnapshotCache, EveryMutatorInvalidates) {
+  const Matrix base = synthetic_samples(64, 3, 75);
+  const Matrix more = synthetic_samples(24, 3, 77);
+  const SufficientStats summary =
+      SufficientStats::from_samples(synthetic_samples(16, 3, 79));
+  BmfEstimator donor = cache_bmf(kCacheNominal);
+  donor.observe(synthetic_samples(32, 3, 81));
+  const StatsShard shard = donor.export_shard(5);
+
+  // Each case applies one mutator to an estimator whose cache holds the
+  // snapshot of `base`; the next snapshot must match a fresh estimator
+  // that never cached anything and saw the same calls.
+  const std::vector<std::pair<const char*, std::function<void(BmfEstimator&)>>>
+      cases = {
+          {"observe(Vector)", [&](BmfEstimator& e) { e.observe(more.row(0)); }},
+          {"observe(Matrix)", [&](BmfEstimator& e) { e.observe(more); }},
+          {"absorb(SufficientStats)",
+           [&](BmfEstimator& e) { e.absorb(summary); }},
+          {"absorb(StatsShard)", [&](BmfEstimator& e) { e.absorb(shard); }},
+          {"merge", [&](BmfEstimator& e) { e.merge(donor); }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    BmfEstimator cached = cache_bmf(kCacheNominal);
+    cached.observe(base);
+    (void)cached.snapshot();
+    mutate(cached);
+
+    BmfEstimator fresh = cache_bmf(kCacheNominal);
+    fresh.observe(base);
+    mutate(fresh);
+    SCOPED_TRACE(name);
+    expect_same_bits(cached.snapshot(), fresh.snapshot());
+  }
+}
+
+TEST(SnapshotCache, ResetThenSameCountOfDifferentRowsIsRecomputed) {
+  // A cache keyed by observed_count() would serve the old estimate here:
+  // the stream holds as many rows as before, but different ones.
+  const Matrix old_rows = synthetic_samples(64, 3, 83);
+  const Matrix new_rows = synthetic_samples(64, 3, 85);
+  BmfEstimator cached = cache_bmf(kCacheNominal);
+  cached.observe(old_rows);
+  const EstimateResult before = cached.snapshot();
+  cached.reset_stream();
+  cached.observe(new_rows);
+
+  BmfEstimator fresh = cache_bmf(kCacheNominal);
+  fresh.observe(new_rows);
+  const EstimateResult after = cached.snapshot();
+  expect_same_bits(after, fresh.snapshot());
+  EXPECT_FALSE(after.moments.mean == before.moments.mean);
+}
+
+TEST(SnapshotCache, NewNominalAfterResetIsRecomputed) {
+  const Matrix rows = synthetic_samples(64, 3, 87);
+  const Vector other_nominal{-0.05, 0.15, 0.3};
+  BmfEstimator cached = cache_bmf(kCacheNominal);
+  cached.observe(rows);
+  (void)cached.snapshot();
+  cached.reset_stream();
+  cached.set_nominal(other_nominal);
+  cached.observe(rows);
+
+  BmfEstimator fresh = cache_bmf(other_nominal);
+  fresh.observe(rows);
+  expect_same_bits(cached.snapshot(), fresh.snapshot());
+}
+
+TEST(SnapshotCache, BatchThatThrowsMidwayKeepsItsLeadingRows) {
+  // observe(Matrix) refuses row k after streaming rows 0..k-1; the cached
+  // snapshot must not survive those rows.
+  const Matrix base = synthetic_samples(64, 3, 89);
+  Matrix batch = synthetic_samples(12, 3, 91);
+  const std::size_t k = 5;
+  batch(k, 1) = std::numeric_limits<double>::quiet_NaN();
+
+  BmfEstimator cached = cache_bmf(kCacheNominal);
+  cached.observe(base);
+  (void)cached.snapshot();
+  EXPECT_THROW(cached.observe(batch), DataError);
+  EXPECT_EQ(cached.observed_count(), base.rows() + k);
+
+  BmfEstimator fresh = cache_bmf(kCacheNominal);
+  fresh.observe(base);
+  for (std::size_t r = 0; r < k; ++r) fresh.observe(batch.row(r));
+  expect_same_bits(cached.snapshot(), fresh.snapshot());
+}
+
+TEST(SnapshotCache, ThrowingSnapshotIsNotCached) {
+  // Rows whose outer products overflow to +inf make the snapshot throw. The
+  // estimate cached before them must not come back, and every retry must
+  // run (and throw) again.
+  BmfEstimator bmf = cache_bmf(kCacheNominal);
+  bmf.observe(synthetic_samples(64, 3, 93));
+  (void)bmf.snapshot();
+  Matrix huge(8, 3);
+  for (std::size_t r = 0; r < huge.rows(); ++r) {
+    huge(r, 0) = 1e160;
+    huge(r, 1) = -1e160;
+    huge(r, 2) = 1e160;
+  }
+  bmf.observe(huge);
+  const std::uint64_t reuses_before =
+      counter_total("core.stream.snapshot_reuses");
+  EXPECT_THROW((void)bmf.snapshot(), NumericError);
+  EXPECT_THROW((void)bmf.snapshot(), NumericError);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(counter_total("core.stream.snapshot_reuses"), reuses_before);
+  }
+}
+
+TEST(StreamingApi, RejectedShardLeavesTheNominalUnset) {
+  // A 5-fold producer's shard is refused by a 4-fold session; it must not
+  // fix its nominal, or every later shard with another nominal would be
+  // refused too.
+  const Matrix rows = synthetic_samples(40, 3, 95);
+  EarlyStageKnowledge early;
+  early.moments = estimate_mle(synthetic_samples(400, 3, 71));
+  early.nominal = Vector{0.0, 0.1, 0.2};
+  core::BmfConfig four_folds;
+  four_folds.cv.kappa_points = 4;
+  four_folds.cv.nu_points = 4;
+  core::BmfConfig five_folds = four_folds;
+  five_folds.cv.folds = 5;
+
+  BmfEstimator producer_a(early, five_folds);
+  producer_a.set_nominal(Vector{0.01, 0.11, 0.21});
+  producer_a.observe(rows);
+  BmfEstimator producer_b(early, four_folds);
+  producer_b.set_nominal(kCacheNominal);
+  producer_b.observe(rows);
+  const StatsShard shard_b = producer_b.export_shard(2);
+
+  // A hand-built shard whose nominal disagrees with its folds' dimension
+  // is refused before its nominal is adopted, too.
+  StatsShard mislabeled = producer_b.export_shard(3);
+  mislabeled.nominal = Vector{0.01, 0.11};
+
+  BmfEstimator session(early, four_folds);
+  EXPECT_THROW(session.absorb(producer_a.export_shard(1)), DataError);
+  EXPECT_THROW(session.absorb(mislabeled), DataError);
+  EXPECT_EQ(session.nominal().size(), 0u);
+  EXPECT_EQ(session.observed_count(), 0u);
+  ASSERT_NO_THROW(session.absorb(shard_b));
+
+  BmfEstimator fresh(early, four_folds);
+  fresh.absorb(shard_b);
+  expect_same_bits(session.snapshot(), fresh.snapshot());
 }
 
 }  // namespace
