@@ -5,8 +5,10 @@
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
-# bugs like to hide) plus the multi-population fusion and streaming suites
-# (snapshot-cache invalidation and rejected-shard paths), and finally a
+# bugs like to hide), the multi-population fusion and streaming suites
+# (snapshot-cache invalidation and rejected-shard paths) and the dsp and
+# Monte Carlo contract suites (the FFT walks raw double pointers over
+# std::complex storage; pinned dies, allocation contract), and finally a
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
 # shards + merge-on-read), the log sinks, the full serve suite (epoll I/O
 # threads trading connections, atomic stop flags, the stop/wait handshake),
@@ -53,7 +55,7 @@ else
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j \
     --target test_fault_injection test_telemetry test_log test_fusion \
-    test_streaming
+    test_streaming test_dsp test_montecarlo_perf
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -70,6 +72,14 @@ else
   # checks unwind through the cached-result code.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_streaming
+  # FFT and flash-ADC hot path: the butterflies index interleaved doubles
+  # over std::complex storage through a per-workspace twiddle table, and the
+  # thermometer-code walk indexes the sorted thresholds directly — the
+  # reference-FFT, pinned-die and allocation-contract tests drive all of it.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_dsp
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_montecarlo_perf
 
   # Perf smoke: the micro_circuit parity mode replays the Monte Carlo fast
   # path (workspace reuse, raw row writes, streaming reduction) against the

@@ -32,6 +32,21 @@ FlashAdc::FlashAdc(DesignStage stage, ProcessModel process,
   offset_sigma_ = process_.local_vth_sigma(design_.comparator_pair) *
                   std::sqrt(2.0);  // differential pair: two devices
   if (post_layout_) offset_sigma_ *= parasitics_.offset_inflation;
+  lsb_ = (design_.v_high - design_.v_low) /
+         static_cast<double>(std::size_t{1} << design_.bits);
+
+  const std::size_t n = design_.capture_points;
+  const double fin =
+      dsp::coherent_frequency(design_.sample_rate, n, design_.input_ratio);
+  const double amplitude =
+      0.5 * (design_.v_high - design_.v_low) * design_.amplitude_fraction;
+  const double atten = post_layout_ ? parasitics_.input_attenuation : 1.0;
+  carrier_.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double phase = kTwoPi * fin * static_cast<double>(t) /
+                         design_.sample_rate;
+    carrier_[t] = atten * amplitude * std::sin(phase);
+  }
 }
 
 std::vector<std::string> FlashAdc::metric_names() const {
@@ -118,47 +133,50 @@ struct AdcScratch {
 
 }  // namespace
 
+std::size_t FlashAdc::thermometer_code(const std::vector<double>& sorted,
+                                       double vin) const {
+  const std::size_t count = sorted.size();
+  const double ideal = (vin - design_.v_low) / lsb_;
+  std::size_t code = 0;  // also the start for NaN, which then walks to count
+  if (ideal >= static_cast<double>(count)) {
+    code = count;
+  } else if (ideal > 0.0) {
+    code = static_cast<std::size_t>(ideal);
+  }
+  while (code < count && !(vin < sorted[code])) ++code;
+  while (code > 0 && vin < sorted[code - 1]) --code;
+  return code;
+}
+
 void FlashAdc::measure_into(const DieVariations& v, stats::Xoshiro256pp* rng,
                             SimWorkspace& ws) const {
   AdcScratch& scratch =
       ws.cache_as<AdcScratch>(this, [] { return AdcScratch{}; });
   const std::size_t n = design_.capture_points;
-  const double fin =
-      dsp::coherent_frequency(design_.sample_rate, n, design_.input_ratio);
   const double vmid = 0.5 * (design_.v_low + design_.v_high);
-  const double amplitude =
-      0.5 * (design_.v_high - design_.v_low) * design_.amplitude_fraction;
-  const double atten =
-      post_layout_ ? parasitics_.input_attenuation : 1.0;
   double noise_rms = design_.input_noise_rms;
   if (post_layout_) noise_rms *= parasitics_.noise_inflation;
 
   // Sorted effective thresholds: the output code of a ones-counting
   // (bubble-tolerant) thermometer encoder equals the number of thresholds
-  // below the input, which is exactly a binary search in the sorted list.
+  // at or below the input.
   std::vector<double>& sorted = scratch.sorted;
   thresholds_into(v, sorted);
   std::sort(sorted.begin(), sorted.end());
 
   std::vector<double>& wave = scratch.wave;
   wave.resize(n);
-  const double lsb =
-      (design_.v_high - design_.v_low) /
-      static_cast<double>(std::size_t{1} << design_.bits);
   const double halfspan = 0.5 * (design_.v_high - design_.v_low);
   for (std::size_t t = 0; t < n; ++t) {
-    const double phase = kTwoPi * fin * static_cast<double>(t) /
-                         design_.sample_rate;
-    double x = atten * amplitude * std::sin(phase);
+    double x = carrier_[t];
     if (rng != nullptr && noise_rms > 0.0) {
       x += stats::sample_normal(*rng, 0.0, noise_rms);
     }
     // Input buffer compression (see FlashAdcDesign::buffer_hd3).
     const double xn = x / halfspan;
-    double vin = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);
-    const auto it = std::upper_bound(sorted.begin(), sorted.end(), vin);
-    const auto code = static_cast<double>(it - sorted.begin());
-    wave[t] = code * lsb;  // ideal back-end DAC for analysis
+    const double vin = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);
+    // Ideal back-end DAC for analysis.
+    wave[t] = static_cast<double>(thermometer_code(sorted, vin)) * lsb_;
   }
 
   dsp::ToneAnalysisConfig cfg;
@@ -218,8 +236,7 @@ std::vector<int> FlashAdc::capture_codes(const DieVariations& v,
     }
     const double xn = x / halfspan;
     const double vin = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);
-    const auto it = std::upper_bound(sorted.begin(), sorted.end(), vin);
-    codes[t] = static_cast<int>(it - sorted.begin());
+    codes[t] = static_cast<int>(thermometer_code(sorted, vin));
   }
   return codes;
 }

@@ -78,10 +78,10 @@ class FlashAdc final : public Testbench {
   [[nodiscard]] linalg::Vector sample_metrics(
       stats::Xoshiro256pp& rng) const override;
 
-  /// Buffer-reusing draw: the variation vectors, sorted thresholds and the
-  /// capture waveform live in `ws`'s cached scratch, so the per-sample heap
-  /// traffic reduces to the FFT workspace inside the tone analysis. Bitwise
-  /// identical to the allocating overload.
+  /// Buffer-reusing draw: the variation vectors, sorted thresholds, capture
+  /// waveform and tone-analysis buffers (FFT work array, twiddle table,
+  /// window) live in `ws`'s cached scratch, so a steady-state draw allocates
+  /// nothing. Bitwise identical to the allocating overload.
   [[nodiscard]] const linalg::Vector& sample_metrics(
       stats::Xoshiro256pp& rng, SimWorkspace& ws) const override;
 
@@ -127,6 +127,14 @@ class FlashAdc final : public Testbench {
   void measure_into(const DieVariations& variations, stats::Xoshiro256pp* rng,
                     SimWorkspace& ws) const;
 
+  /// Output code of the ones-counting (bubble-tolerant) thermometer encoder
+  /// for input `vin`: the number of `sorted` thresholds at or below it, i.e.
+  /// the index of the first threshold above it (NaN: all of them). Starts
+  /// from the ideal ladder's code and walks to the exact count; mismatch
+  /// keeps the walk to a step or two.
+  [[nodiscard]] std::size_t thermometer_code(const std::vector<double>& sorted,
+                                             double vin) const;
+
   /// Raw output codes for a sine capture at an arbitrary amplitude (as a
   /// fraction of half the ladder span; > 1 clips, as the code-density
   /// linearity test requires). `rng` null = noise-free. `points` need not
@@ -141,6 +149,10 @@ class FlashAdc final : public Testbench {
   FlashAdcDesign design_;
   FlashAdcParasitics parasitics_;
   double offset_sigma_;  ///< per-comparator input-referred offset sigma [V]
+  double lsb_;           ///< ideal ladder step [V]
+  /// Noise-free input tone of one capture. It is the same for every die, so
+  /// the constructor computes it once and every Monte Carlo worker reads it.
+  std::vector<double> carrier_;
 };
 
 }  // namespace bmfusion::circuit

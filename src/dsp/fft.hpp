@@ -15,10 +15,28 @@ using Complex = std::complex<double>;
 /// True when n is a power of two (n >= 1).
 [[nodiscard]] bool is_power_of_two(std::size_t n);
 
+/// Twiddle factors of one transform size and direction, stage by stage:
+/// stage `len` (2, 4, ..., n) reads w^k, k < len/2, at offset len/2 - 1.
+/// Each stage's factors come from the recurrence w^(k+1) = w^k * w with
+/// w = e^(-+2 pi i / len), so they carry that recurrence's rounding and
+/// pin the transform's output bits to it.
+struct FftTwiddles {
+  std::size_t n = 0;       ///< transform size of `w` (0 = not built yet)
+  bool inverse = false;    ///< direction of `w`
+  std::vector<Complex> w;  ///< n - 1 factors
+};
+
 /// In-place decimation-in-time radix-2 FFT. `data.size()` must be a power of
 /// two. `inverse` applies the conjugate transform *and* the 1/N scaling, so
 /// fft(fft(x), inverse=true) == x.
 void fft_inplace(std::vector<Complex>& data, bool inverse);
+
+/// Workspace variant of fft_inplace: reads the factors from `twiddles`,
+/// rebuilding it only when the size or direction changes, so a reused table
+/// makes repeated same-size transforms allocation-free. Bitwise identical
+/// to fft_inplace.
+void fft_inplace(std::vector<Complex>& data, bool inverse,
+                 FftTwiddles& twiddles);
 
 /// Out-of-place forward FFT.
 [[nodiscard]] std::vector<Complex> fft(const std::vector<Complex>& data);
@@ -29,10 +47,5 @@ void fft_inplace(std::vector<Complex>& data, bool inverse);
 /// Forward FFT of a real signal; returns the full complex spectrum (length
 /// n) for simplicity.
 [[nodiscard]] std::vector<Complex> fft_real(const std::vector<double>& data);
-
-/// Workspace variant of fft_real: widens `data` into `out` (resized to
-/// data.size()) and transforms in place, so a reused `out` makes the call
-/// allocation-free in steady state.
-void fft_real_into(const std::vector<double>& data, std::vector<Complex>& out);
 
 }  // namespace bmfusion::dsp

@@ -59,7 +59,7 @@ const std::vector<double>& power_spectrum_into(
   for (std::size_t i = 0; i < n; ++i) {
     scratch.spectrum[i] = Complex(samples[i] * w[i], 0.0);
   }
-  fft_inplace(scratch.spectrum, /*inverse=*/false);
+  fft_inplace(scratch.spectrum, /*inverse=*/false, scratch.twiddles);
 
   // One-sided power, normalized by the coherent gain so absolute tone power
   // is window-independent. Interior bins get the x2 one-sided factor.

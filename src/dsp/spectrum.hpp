@@ -37,11 +37,13 @@ struct ToneAnalysisConfig {
 /// worker/workspace: every vector grows to the capture size on the first
 /// call and is reused verbatim afterwards, so steady-state analysis is
 /// allocation-free (the flash-ADC Monte Carlo contract). The window is
-/// cached per (kind, length) and regenerated only when either changes.
+/// cached per (kind, length) and the FFT twiddle table per length; each is
+/// regenerated only when its key changes.
 struct ToneScratch {
   std::vector<double> window;      ///< cached window coefficients
   WindowKind window_kind = WindowKind::kRectangular;
   std::size_t window_n = 0;        ///< 0 = window not generated yet
+  FftTwiddles twiddles;            ///< cached forward FFT twiddle table
   std::vector<Complex> spectrum;   ///< complex FFT work buffer
   std::vector<double> power;       ///< one-sided power bins [0, n/2]
   std::vector<bool> claimed;       ///< per-bin claim map for band integration

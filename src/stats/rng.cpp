@@ -4,12 +4,6 @@
 
 namespace bmfusion::stats {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 std::uint64_t SplitMix64::next() {
   std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -29,27 +23,6 @@ Xoshiro256pp::Xoshiro256pp(SplitMix64& mixer) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x9E3779B97F4A7C15ULL;
   }
-}
-
-std::uint64_t Xoshiro256pp::next_u64() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Xoshiro256pp::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256pp::next_uniform(double lo, double hi) {
-  BMFUSION_REQUIRE(lo < hi, "next_uniform requires lo < hi");
-  return lo + (hi - lo) * next_double();
 }
 
 std::uint64_t Xoshiro256pp::next_below(std::uint64_t bound) {

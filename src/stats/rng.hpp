@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 
+#include "common/contracts.hpp"
+
 namespace bmfusion::stats {
 
 /// SplitMix64: used to expand a 64-bit seed into xoshiro state, and handy as
@@ -36,7 +38,9 @@ class Xoshiro256pp {
   /// entropy and correlates nearby streams.
   explicit Xoshiro256pp(SplitMix64& mixer);
 
-  /// Next 64 uniformly distributed bits.
+  /// Next 64 uniformly distributed bits. This and the two uniform draws
+  /// below are defined inline: every normal variate of a Monte Carlo die
+  /// goes through them.
   std::uint64_t next_u64();
 
   /// Uniform double in [0, 1) with 53-bit resolution.
@@ -63,7 +67,32 @@ class Xoshiro256pp {
   result_type operator()() { return next_u64(); }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
+
+inline std::uint64_t Xoshiro256pp::next_u64() {
+  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline double Xoshiro256pp::next_double() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline double Xoshiro256pp::next_uniform(double lo, double hi) {
+  BMFUSION_REQUIRE(lo < hi, "next_uniform requires lo < hi");
+  return lo + (hi - lo) * next_double();
+}
 
 }  // namespace bmfusion::stats

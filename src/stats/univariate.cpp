@@ -11,8 +11,14 @@ constexpr double kLogSqrt2Pi = 0.918938533204672741780329736405617639;
 }
 
 double sample_standard_normal(Xoshiro256pp& rng) {
-  // Marsaglia polar method. Discards the second variate for a stateless
-  // interface; throughput is irrelevant next to the circuit simulation.
+  // Marsaglia polar method, discarding the second variate for a stateless
+  // interface. Every die's mismatch and noise draws are defined by exactly
+  // this sequence of uniforms, so the algorithm is part of the
+  // reproducibility contract: a faster sampler (ziggurat, a cached second
+  // variate) would re-roll every die of every recorded figure and the
+  // pinned-die hashes. Its cost is real — these draws are a quarter to a
+  // third of a flash-ADC die (4096 noise samples) — which is why the
+  // uniform draws underneath are inline.
   while (true) {
     const double u = rng.next_uniform(-1.0, 1.0);
     const double v = rng.next_uniform(-1.0, 1.0);

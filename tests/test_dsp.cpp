@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "dsp/fft.hpp"
@@ -104,6 +106,135 @@ TEST(Fft, SizeOneIsIdentity) {
   std::vector<Complex> data{Complex{3.0, 4.0}};
   fft_inplace(data, false);
   EXPECT_EQ(data[0], (Complex{3.0, 4.0}));
+}
+
+/// Reference transform: the radix-2 FFT with its twiddle factor advanced by
+/// a std::complex product inside the butterfly loop. fft_inplace's table and
+/// component-wise product must reproduce it bit for bit.
+void reference_fft_inplace(std::vector<Complex>& data, bool inverse) {
+  const std::size_t n = data.size();
+  if (n == 1) return;
+
+  // Bit-reversal permutation.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; (j & bit) != 0; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+
+  // Butterfly stages.
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = (inverse ? 2.0 : -2.0) * kPi /
+                         static_cast<double>(len);
+    const Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = data[i + k];
+        const Complex v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n);
+    for (Complex& c : data) c *= scale;
+  }
+}
+
+std::vector<Complex> random_complex(std::size_t n, stats::Xoshiro256pp& rng) {
+  std::vector<Complex> data(n);
+  for (Complex& c : data) {
+    c = Complex{stats::sample_normal(rng, 0.0, 1.0),
+                stats::sample_normal(rng, 0.0, 1.0)};
+  }
+  return data;
+}
+
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(Fft, BitwiseMatchesRecurrenceReference) {
+  stats::Xoshiro256pp rng(8192);
+  for (std::size_t n = 1; n <= 8192; n <<= 1) {
+    for (const bool inverse : {false, true}) {
+      std::vector<Complex> data = random_complex(n, rng);
+      std::vector<Complex> expected = data;
+      reference_fft_inplace(expected, inverse);
+      fft_inplace(data, inverse);
+      EXPECT_TRUE(same_bytes(data, expected))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+/// Bitwise equality that lets two NaNs differ in sign and payload: IEEE 754
+/// leaves those unspecified for a NaN result, and the compiler may commute
+/// the operands of an addition or of the complex product's libcall, so two
+/// compilations of one source can disagree there. Every other bit counts.
+bool same_bits_or_both_nan(const std::vector<Complex>& a,
+                           const std::vector<Complex>& b) {
+  if (a.size() != b.size()) return false;
+  const auto same = [](double x, double y) {
+    return (std::isnan(x) && std::isnan(y)) ||
+           std::memcmp(&x, &y, sizeof x) == 0;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same(a[i].real(), b[i].real()) || !same(a[i].imag(), b[i].imag())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Fft, MatchesReferenceWithInfAndNan) {
+  // Infinities turn butterfly products NaN, which is where std::complex
+  // hands over to its NaN-recovering library product.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  stats::Xoshiro256pp rng(7);
+  for (const std::size_t n : {8, 64, 1024}) {
+    for (const bool inverse : {false, true}) {
+      for (const bool with_nan : {false, true}) {
+        std::vector<Complex> data = random_complex(n, rng);
+        data[1] = Complex{inf, 0.0};
+        data[n / 2] = Complex{-inf, 2.0};
+        data[n / 4] = Complex{1.0, inf};
+        data[3] = Complex{inf, inf};
+        if (with_nan) {
+          data[n - 1] = Complex{nan, -1.0};
+          data[5] = Complex{inf, nan};
+        }
+        std::vector<Complex> expected = data;
+        reference_fft_inplace(expected, inverse);
+        fft_inplace(data, inverse);
+        EXPECT_TRUE(same_bits_or_both_nan(data, expected))
+            << "n=" << n << " inverse=" << inverse << " nan=" << with_nan;
+      }
+    }
+  }
+}
+
+TEST(Fft, ReusedTwiddleTableRekeysOnSizeAndDirection) {
+  stats::Xoshiro256pp rng(11);
+  FftTwiddles twiddles;
+  const std::pair<std::size_t, bool> calls[] = {
+      {64, false}, {64, true},    {4096, false}, {16, false},
+      {4096, true}, {4096, true}, {1, false},    {2, true}};
+  for (const auto& [n, inverse] : calls) {
+    std::vector<Complex> data = random_complex(n, rng);
+    std::vector<Complex> expected = data;
+    reference_fft_inplace(expected, inverse);
+    fft_inplace(data, inverse, twiddles);
+    EXPECT_TRUE(same_bytes(data, expected))
+        << "n=" << n << " inverse=" << inverse;
+  }
 }
 
 // ------------------------------------------------------------------ window
@@ -235,12 +366,13 @@ TEST(Spectrum, WindowsContainLeakageOfNonCoherentTone) {
 TEST(Spectrum, ScratchPathBitwiseMatchesAllocatingPath) {
   // analyze_tone_into is the Monte Carlo hot path; its contract is bitwise
   // equality with analyze_tone, including across reuses of one scratch with
-  // different signals, windows and capture lengths (window-cache turnover).
+  // different signals, windows and capture lengths (window-cache and
+  // twiddle-table turnover).
   stats::Xoshiro256pp rng(99);
   ToneScratch scratch;
   const WindowKind kinds[] = {WindowKind::kRectangular, WindowKind::kHann,
                               WindowKind::kBlackmanHarris};
-  const std::size_t lengths[] = {64, 256, 256, 64};
+  const std::size_t lengths[] = {64, 256, 256, 4096, 16, 64};
   std::size_t round = 0;
   for (const std::size_t n : lengths) {
     for (const WindowKind kind : kinds) {

@@ -1,10 +1,11 @@
 // Performance-architecture contract tests for the Monte Carlo hot path:
 // thread-count invariance of both engines, bitwise equivalence of the
 // workspace fast path and the allocating reference path, exception
-// propagation out of worker threads, steady-state allocation freedom, and
+// propagation out of worker threads, steady-state allocation freedom,
 // pinned per-sample RNG streams (the (seed, index) -> stream mapping is part
 // of the reproducibility contract — changing it silently re-rolls every
-// recorded experiment).
+// recorded experiment), and pinned dies (hashes of whole Monte Carlo
+// datasets, so a speed-up of either testbench cannot move a bit).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -82,6 +83,63 @@ TEST(SampleRng, PinnedStreams) {
           << "seed=" << pin.seed << " index=" << pin.index;
     }
   }
+}
+
+// ------------------------------------------------------------- pinned dies
+
+/// 64-bit FNV-1a over raw bytes: a bit flip anywhere in a die's metrics
+/// changes the hash.
+std::uint64_t fnv1a(const double* values, std::size_t count) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values);
+  for (std::size_t i = 0; i < count * sizeof(double); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Pins 64 dies (seed 2015) and the nominal run of one bench: the dataset
+/// hash must match for 1 and 3 worker threads.
+void expect_pinned(const Testbench& bench, std::uint64_t dies_hash,
+                   std::uint64_t nominal_hash) {
+  const auto base = MonteCarloConfig{}.with_sample_count(64).with_seed(2015);
+  for (const std::size_t threads : {1, 3}) {
+    const Dataset ds =
+        run_monte_carlo(bench, MonteCarloConfig(base).with_threads(threads));
+    const Matrix& s = ds.samples();
+    EXPECT_EQ(fnv1a(s.data(), s.rows() * s.cols()), dies_hash)
+        << std::hex << "threads=" << threads << " dies=0x"
+        << fnv1a(s.data(), s.rows() * s.cols());
+  }
+  const Vector nominal = bench.nominal_metrics();
+  EXPECT_EQ(fnv1a(nominal.data(), nominal.size()), nominal_hash)
+      << std::hex << "nominal=0x" << fnv1a(nominal.data(), nominal.size());
+}
+
+// The die-invariant precomputations (ADC carrier, FFT twiddle table, code
+// lookup, inline RNG) must leave every die bit for bit as it was. These
+// hashes were recorded before those changes and hold across them. Like
+// every bitwise gate here, they depend on the platform's libm (sin, cos,
+// log, sqrt, exp): a different libm may legitimately re-roll them.
+TEST(PinnedDies, OpAmpSchematic) {
+  expect_pinned(TwoStageOpAmp(DesignStage::kSchematic, ProcessModel::cmos45()),
+                0x8df728538bac908fULL, 0xce6c0630c69ca99eULL);
+}
+
+TEST(PinnedDies, OpAmpPostLayout) {
+  expect_pinned(TwoStageOpAmp(DesignStage::kPostLayout, ProcessModel::cmos45()),
+                0x97603c7fe9e2763bULL, 0xe9224a38dd547c57ULL);
+}
+
+TEST(PinnedDies, FlashAdcSchematic) {
+  expect_pinned(FlashAdc(DesignStage::kSchematic, ProcessModel::cmos180()),
+                0x0c02bb0554f13a96ULL, 0xc9943f6fd30aa561ULL);
+}
+
+TEST(PinnedDies, FlashAdcPostLayout) {
+  expect_pinned(FlashAdc(DesignStage::kPostLayout, ProcessModel::cmos180()),
+                0x6260afef31146dc5ULL, 0xd13a60d538436ae1ULL);
 }
 
 TEST(SampleRng, NeighboringIndicesDecorrelated) {

@@ -2,8 +2,12 @@
 // workloads (two-stage op-amp, flash ADC).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "circuit/dataset.hpp"
 #include "circuit/dc.hpp"
@@ -11,7 +15,9 @@
 #include "circuit/montecarlo.hpp"
 #include "circuit/opamp.hpp"
 #include "common/contracts.hpp"
+#include "dsp/spectrum.hpp"
 #include "stats/moments.hpp"
+#include "stats/univariate.hpp"
 
 namespace bmfusion::circuit {
 namespace {
@@ -248,6 +254,112 @@ TEST_F(FlashAdcFixture, LadderMismatchMovesInteriorTapsOnly) {
   // Taps remain monotone under pure ladder mismatch.
   for (std::size_t i = 1; i < taps.size(); ++i) {
     EXPECT_GT(taps[i], taps[i - 1]);
+  }
+}
+
+/// The thermometer encoder as a binary search: the first sorted threshold
+/// above `vin`.
+std::size_t upper_bound_code(const std::vector<double>& sorted, double vin) {
+  return static_cast<std::size_t>(
+      std::upper_bound(sorted.begin(), sorted.end(), vin) - sorted.begin());
+}
+
+std::vector<double> sorted_thresholds(const FlashAdc& adc,
+                                      const FlashAdc::DieVariations& die) {
+  std::vector<double> sorted = adc.thresholds(die);
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+/// Every threshold exactly and its floating-point neighbours, inputs
+/// outside the ladder, infinities and NaN.
+void expect_code_matches_search(const FlashAdc& adc,
+                                const std::vector<double>& sorted) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> inputs = {
+      -inf, inf, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::max(), std::numeric_limits<double>::max(),
+      -1.0, 0.0, adc.design().v_low - 0.3, adc.design().v_low,
+      adc.design().v_high, adc.design().v_high + 0.5, 5.0};
+  for (const double t : sorted) {
+    inputs.push_back(std::nextafter(t, -inf));
+    inputs.push_back(t);
+    inputs.push_back(std::nextafter(t, inf));
+  }
+  for (const double vin : inputs) {
+    EXPECT_EQ(adc.thermometer_code(sorted, vin), upper_bound_code(sorted, vin))
+        << "vin=" << vin;
+  }
+}
+
+TEST_F(FlashAdcFixture, ThermometerCodeMatchesBinarySearch) {
+  stats::Xoshiro256pp rng(21);
+  for (const FlashAdc* adc : {&schematic_, &post_}) {
+    for (int die = 0; die < 4; ++die) {
+      expect_code_matches_search(
+          *adc, sorted_thresholds(*adc, adc->sample_variations(rng)));
+    }
+  }
+}
+
+TEST_F(FlashAdcFixture, ThermometerCodeCountsEqualThresholds) {
+  // Two (and then three) comparators tripping at the same voltage: the
+  // code must count every one of them once the input reaches it.
+  stats::Xoshiro256pp rng(22);
+  std::vector<double> sorted =
+      sorted_thresholds(schematic_, schematic_.sample_variations(rng));
+  sorted[31] = sorted[30];
+  expect_code_matches_search(schematic_, sorted);
+  sorted[32] = sorted[30];
+  expect_code_matches_search(schematic_, sorted);
+}
+
+/// capture_codes' waveform (carrier, noise, buffer compression) with the
+/// encoder written as the binary search.
+std::vector<int> reference_capture_codes(const FlashAdc& adc, double atten,
+                                         const FlashAdc::DieVariations& die,
+                                         std::size_t points,
+                                         double amplitude_fraction,
+                                         stats::Xoshiro256pp* rng) {
+  const FlashAdcDesign& d = adc.design();
+  const double two_pi = 6.283185307179586476925286766559005768;
+  const double fin =
+      dsp::coherent_frequency(d.sample_rate, d.capture_points, d.input_ratio);
+  const double vmid = 0.5 * (d.v_low + d.v_high);
+  const double halfspan = 0.5 * (d.v_high - d.v_low);
+  const double amplitude = halfspan * amplitude_fraction;
+  const std::vector<double> sorted = sorted_thresholds(adc, die);
+  std::vector<int> codes(points);
+  for (std::size_t t = 0; t < points; ++t) {
+    const double phase =
+        two_pi * fin * static_cast<double>(t) / d.sample_rate;
+    double x = atten * amplitude * std::sin(phase);
+    if (rng != nullptr) x += stats::sample_normal(*rng, 0.0, d.input_noise_rms);
+    const double xn = x / halfspan;
+    const double vin = vmid + x * (1.0 + d.buffer_hd3 * xn * xn);
+    codes[t] = static_cast<int>(upper_bound_code(sorted, vin));
+  }
+  return codes;
+}
+
+TEST_F(FlashAdcFixture, ClippingCaptureCodesMatchBinarySearch) {
+  // Amplitude 1.2 overdrives both ends of the ladder, so the capture holds
+  // runs of code 0 and of the full-scale code.
+  const double post_atten = FlashAdcParasitics{}.input_attenuation;
+  for (const auto& [adc, atten] :
+       {std::pair{&schematic_, 1.0}, std::pair{&post_, post_atten}}) {
+    stats::Xoshiro256pp die_rng(23);
+    const FlashAdc::DieVariations die = adc->sample_variations(die_rng);
+    stats::Xoshiro256pp rng(24);
+    stats::Xoshiro256pp ref_rng(24);
+    const std::vector<int> codes = adc->capture_codes(die, 4096, 1.2, &rng);
+    EXPECT_EQ(codes,
+              reference_capture_codes(*adc, atten, die, 4096, 1.2, &ref_rng));
+    EXPECT_EQ(adc->capture_codes(die, 4096, 1.2, nullptr),
+              reference_capture_codes(*adc, atten, die, 4096, 1.2, nullptr));
+    const int full_scale = static_cast<int>(adc->comparator_count());
+    EXPECT_GT(std::count(codes.begin(), codes.end(), 0), 0);
+    EXPECT_GT(std::count(codes.begin(), codes.end(), full_scale), 0);
   }
 }
 
