@@ -6,9 +6,11 @@
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
 # bugs like to hide), the multi-population fusion and streaming suites
-# (snapshot-cache invalidation and rejected-shard paths) and the dsp and
+# (snapshot-cache invalidation and rejected-shard paths), the dsp and
 # Monte Carlo contract suites (the FFT walks raw double pointers over
-# std::complex storage; pinned dies, allocation contract), and finally a
+# std::complex storage; pinned dies, allocation contract), and the serve and
+# common suites (the request decoders index raw payload bytes and the JSON
+# parser counts its nesting depth), and finally a
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
 # shards + merge-on-read), the log sinks, the full serve suite (epoll I/O
 # threads trading connections, atomic stop flags, the stop/wait handshake),
@@ -55,7 +57,7 @@ else
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j \
     --target test_fault_injection test_telemetry test_log test_fusion \
-    test_streaming test_dsp test_montecarlo_perf
+    test_streaming test_dsp test_montecarlo_perf test_serve test_common
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -80,6 +82,13 @@ else
     ./build-asan/tests/test_dsp
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_montecarlo_perf
+  # Serve protocol and JSON parser: both wire modes decode into one typed
+  # request, so the golden transcript, the truncated/trailing/wrapped binary
+  # payloads and the nesting cap walk every decoder byte with ASan watching.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_serve
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_common
 
   # Perf smoke: the micro_circuit parity mode replays the Monte Carlo fast
   # path (workspace reuse, raw row writes, streaming reduction) against the

@@ -165,8 +165,16 @@ class JsonParser {
     skip_whitespace();
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+               " levels");
+        }
+        JsonValue nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue::make_bool(true);
@@ -292,6 +300,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

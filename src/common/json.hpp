@@ -68,6 +68,12 @@ class JsonValue {
   Object object_;
 };
 
+/// Arrays and objects nest at most this deep; parse_json throws DataError
+/// past it. Each level is one stack frame of the parser, so an uncapped
+/// line of '[' overflows the stack long before any size limit. The deepest
+/// document this repo writes (a stats response carrying a shard) nests 8.
+inline constexpr std::size_t kJsonMaxDepth = 64;
+
 /// Parses one JSON document; trailing non-whitespace throws DataError.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 

@@ -22,21 +22,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
-
 std::string http_response(int status, const char* reason,
                           const char* content_type, std::string_view body) {
   std::string out;
@@ -58,8 +43,8 @@ std::string http_response(int status, const char* reason,
 
 std::string statusz_json(const SessionRegistry& sessions) {
   std::ostringstream out;
-  out << "{\"ok\": true,\"server_version\": \"" << json_escape(kServerVersion)
-      << "\",\"wire_version\": " << kWireVersion
+  out << "{\"ok\": true,\"server_version\": \""
+      << json_escaped(kServerVersion) << "\",\"wire_version\": " << kWireVersion
       << ",\"uptime_s\": " << format_double(process_uptime_s())
       << ",\"build\": {\"telemetry\": "
       << (telemetry::enabled() ? "true" : "false")
@@ -68,8 +53,8 @@ std::string statusz_json(const SessionRegistry& sessions) {
   const std::vector<SessionSummary> summaries = sessions.summaries();
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     const SessionSummary& s = summaries[i];
-    out << (i ? "," : "") << "{\"id\": \"" << json_escape(s.id)
-        << "\",\"estimator\": \"" << json_escape(s.estimator)
+    out << (i ? "," : "") << "{\"id\": \"" << json_escaped(s.id)
+        << "\",\"estimator\": \"" << json_escaped(s.estimator)
         << "\",\"populations\": " << s.populations
         << ",\"observed\": " << s.observed << "}";
   }
@@ -82,7 +67,7 @@ std::string statusz_json(const SessionRegistry& sessions) {
   bool first = true;
   for (const auto& g : snapshot.gauges) {
     if (g.name.rfind("fusion.", 0) != 0) continue;
-    out << (first ? "" : ",") << "\"" << json_escape(g.name)
+    out << (first ? "" : ",") << "\"" << json_escaped(g.name)
         << "\": " << format_double(g.value);
     first = false;
   }

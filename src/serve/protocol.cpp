@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/json.hpp"
@@ -55,10 +56,10 @@ double slow_request_threshold_us() {
 
 namespace {
 
-/// Known ops, indexing the per-op metric table. kUnknown also covers
-/// requests that fail before an op string was parsed.
+/// Every op, in kOps order. kUnknown also covers requests that fail before
+/// an op was read.
 enum class OpId : std::size_t {
-  kPing = 0,
+  kPing,
   kHello,
   kOpen,
   kObserve,
@@ -69,109 +70,35 @@ enum class OpId : std::size_t {
   kShutdown,
   kMetrics,
   kUnknown,
-  kCount,
 };
 
-constexpr const char* kOpNames[] = {
-    "ping",  "hello",    "open",    "observe", "absorb", "stats",
-    "estimate", "close", "shutdown", "metrics", "unknown",
+/// One decoded request, whatever its wire mode. The decoders fill the
+/// members the op's `needs` name, in the order they are declared here, so
+/// both modes reject the same malformed member first, and all of them
+/// before any session lookup.
+struct Request {
+  OpId op = OpId::kUnknown;
+  std::uint64_t id = 0;  ///< the request id
+  /// Read before anything else can fail, so a slow failed request still
+  /// names its session.
+  std::string session;
+  std::size_t population = 0;
+  bool has_population = false;  ///< a JSON observe echoes it only if sent
+  Matrix samples;
+  stats::StatsShard shard;
+  std::uint64_t shard_id = 0;
+  const JsonValue* json = nullptr;  ///< JSON mode: the object open/hello read
 };
 
-const char* op_name(OpId id) { return kOpNames[static_cast<std::size_t>(id)]; }
-
-#if BMFUSION_TELEMETRY_ENABLED
-/// Per-op request counter + latency histogram. The BMF_* macros cache one
-/// metric per call site, which cannot key on a runtime op — this table
-/// resolves every per-op metric once (first call registers, allocating),
-/// after which recording is lock- and allocation-free, preserving the
-/// hot-path contract the alloc-contract test checks.
-struct OpMetrics {
-  telemetry::Counter& requests;
-  telemetry::Histogram& latency_us;
+/// What a handler hands the encoders. Ping, observe, absorb and stats are
+/// encoded per wire mode; the ops only JSON carries answer their members.
+struct Reply {
+  std::size_t total = 0;    ///< observe, absorb: the session's new total
+  bool duplicate = false;   ///< absorb: the shard id was absorbed before
+  stats::StatsShard shard;  ///< stats: the exported stream
+  std::string json;         ///< JSON-only ops: ,"member":value...
+  bool switch_to_binary = false;
 };
-
-const OpMetrics& op_metrics(OpId id) {
-  auto& reg = telemetry::Registry::instance();
-  static const std::array<OpMetrics, static_cast<std::size_t>(OpId::kCount)>
-      table{{
-          {reg.counter("serve.ping.requests"),
-           reg.histogram("serve.ping.latency_us")},
-          {reg.counter("serve.hello.requests"),
-           reg.histogram("serve.hello.latency_us")},
-          {reg.counter("serve.open.requests"),
-           reg.histogram("serve.open.latency_us")},
-          {reg.counter("serve.observe.requests"),
-           reg.histogram("serve.observe.latency_us")},
-          {reg.counter("serve.absorb.requests"),
-           reg.histogram("serve.absorb.latency_us")},
-          {reg.counter("serve.stats.requests"),
-           reg.histogram("serve.stats.latency_us")},
-          {reg.counter("serve.estimate.requests"),
-           reg.histogram("serve.estimate.latency_us")},
-          {reg.counter("serve.close.requests"),
-           reg.histogram("serve.close.latency_us")},
-          {reg.counter("serve.shutdown.requests"),
-           reg.histogram("serve.shutdown.latency_us")},
-          {reg.counter("serve.metrics.requests"),
-           reg.histogram("serve.metrics.latency_us")},
-          {reg.counter("serve.unknown.requests"),
-           reg.histogram("serve.unknown.latency_us")},
-      }};
-  return table[static_cast<std::size_t>(id)];
-}
-#endif
-
-void record_op(OpId id, std::uint64_t elapsed_ns) {
-#if BMFUSION_TELEMETRY_ENABLED
-  const OpMetrics& m = op_metrics(id);
-  m.requests.add(1);
-  m.latency_us.record(static_cast<double>(elapsed_ns) * 1e-3);
-#else
-  (void)id;
-  (void)elapsed_ns;
-#endif
-}
-
-/// Per-class error counters beside the aggregate serve.errors.
-enum class ErrorClass { kData, kConfig, kNumeric, kContract, kInternal };
-
-void record_error(ErrorClass cls) {
-  BMF_COUNTER_ADD("serve.errors", 1);
-  switch (cls) {
-    case ErrorClass::kData: BMF_COUNTER_ADD("serve.errors.data", 1); break;
-    case ErrorClass::kConfig:
-      BMF_COUNTER_ADD("serve.errors.config", 1);
-      break;
-    case ErrorClass::kNumeric:
-      BMF_COUNTER_ADD("serve.errors.numeric", 1);
-      break;
-    case ErrorClass::kContract:
-      BMF_COUNTER_ADD("serve.errors.contract", 1);
-      break;
-    case ErrorClass::kInternal:
-      BMF_COUNTER_ADD("serve.errors.internal", 1);
-      break;
-  }
-}
-
-/// Off the hot path by construction: only entered once a request already
-/// blew the slow threshold, so the structured log record and counter are
-/// free to allocate.
-void note_slow_request(OpId op, const std::string& session,
-                       std::uint64_t request_id, std::uint64_t elapsed_ns,
-                       std::size_t bytes) {
-  BMF_COUNTER_ADD("serve.slow_requests", 1);
-  BMF_LOG_WARN("slow serve request", log::f("op", op_name(op)),
-               log::f("session", session), log::f("request_id", request_id),
-               log::f("latency_us", static_cast<double>(elapsed_ns) * 1e-3),
-               log::f("bytes", bytes));
-}
-
-[[nodiscard]] bool past_slow_threshold(std::uint64_t elapsed_ns) {
-  const std::uint64_t slow_ns =
-      g_slow_threshold_ns.load(std::memory_order_relaxed);
-  return slow_ns != 0 && elapsed_ns >= slow_ns;
-}
 
 void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
@@ -242,120 +169,6 @@ std::string response_head(std::string_view op, std::string_view session) {
   return out;
 }
 
-std::string error_response(std::string_view type, std::string_view message) {
-  std::string out = "{\"ok\":false,\"error\":{\"type\":\"";
-  append_escaped(out, type);
-  out += "\",\"message\":\"";
-  append_escaped(out, message);
-  out += "\"}}";
-  return out;
-}
-
-std::string required_string(const JsonValue& request, const char* key) {
-  const JsonValue* value = request.find(key);
-  if (value == nullptr || !value->is_string()) {
-    throw DataError(std::string("request needs a string \"") + key + "\"",
-                    ErrorContext{}.with_operation("serve_protocol"));
-  }
-  return value->as_string();
-}
-
-const JsonValue& required_member(const JsonValue& request, const char* key) {
-  const JsonValue* value = request.find(key);
-  if (value == nullptr) {
-    throw DataError(std::string("request needs \"") + key + "\"",
-                    ErrorContext{}.with_operation("serve_protocol"));
-  }
-  return *value;
-}
-
-std::string handle_open(SessionRegistry& registry, const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::shared_ptr<Session> session = registry.open(id, request);
-  std::string out = response_head("open", id);
-  out += ",\"estimator\":\"";
-  append_escaped(out, session->estimator_name());
-  out += "\"}";
-  return out;
-}
-
-/// Optional "population" member: a stream index of a fusion session. JSON
-/// numbers are doubles, so only exact nonnegative integers that fit the
-/// binary framing's u32 are accepted.
-std::size_t parse_population(const JsonValue& request) {
-  const JsonValue* value = request.find("population");
-  if (value == nullptr) return 0;
-  constexpr double kMaxPopulation = 4294967295.0;  // u32 max
-  const double raw = value->is_number() ? value->as_number() : -1.0;
-  if (!value->is_number() || raw < 0.0 || std::floor(raw) != raw ||
-      raw > kMaxPopulation) {
-    throw DataError(
-        "\"population\" must be a nonnegative integer no larger than 2^32-1",
-        ErrorContext{}.with_operation("serve_protocol").with_detail(
-            "field: population"));
-  }
-  return static_cast<std::size_t>(raw);
-}
-
-std::string handle_observe(SessionRegistry& registry,
-                           const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::size_t population = parse_population(request);
-  const Matrix samples =
-      parse_matrix(required_member(request, "samples"), "samples");
-  const std::size_t total = registry.get(id)->observe(samples, population);
-  BMF_COUNTER_ADD("serve.observed_samples", samples.rows());
-  std::string out = response_head("observe", id);
-  if (request.find("population") != nullptr) {
-    out += ",\"population\":" + std::to_string(population);
-  }
-  out += ",\"observed\":" + std::to_string(samples.rows());
-  out += ",\"total\":" + std::to_string(total) + "}";
-  return out;
-}
-
-std::string handle_absorb(SessionRegistry& registry,
-                          const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const stats::StatsShard shard =
-      stats::shard_from_json(required_member(request, "shard"));
-  const Counted<bool> absorbed = registry.get(id)->absorb(shard);
-  std::string out = response_head("absorb", id);
-  out += absorbed.value ? ",\"duplicate\":false" : ",\"duplicate\":true";
-  out += ",\"total\":" + std::to_string(absorbed.total) + "}";
-  return out;
-}
-
-/// JSON numbers are doubles, so a shard id survives the trip only while it
-/// is an exactly-representable integer: non-integral values and anything
-/// above 2^53 would be silently mangled by the cast. Reject both.
-std::uint64_t parse_shard_id(const JsonValue& value) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  const double raw = value.is_number() ? value.as_number() : -1.0;
-  if (!value.is_number() || raw < 0.0 || std::floor(raw) != raw ||
-      raw > kMaxExact) {
-    throw DataError(
-        "\"shard_id\" must be a nonnegative integer no larger than 2^53",
-        ErrorContext{}.with_operation("serve_protocol").with_detail(
-            "field: shard_id"));
-  }
-  return static_cast<std::uint64_t>(raw);
-}
-
-std::string handle_stats(SessionRegistry& registry, const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::size_t population = parse_population(request);
-  std::uint64_t shard_id = 0;
-  if (const JsonValue* v = request.find("shard_id")) {
-    shard_id = parse_shard_id(*v);
-  }
-  const stats::StatsShard shard =
-      registry.get(id)->export_shard(shard_id, population);
-  std::string out = response_head("stats", id);
-  out += ",\"shard\":" + stats::shard_to_json(shard) + "}";
-  return out;
-}
-
 /// {"mean":[..],"covariance":[[..]],"kappa0":..,"nu0":..,"score":..}
 void append_estimate(std::string& out, const core::EstimateResult& result) {
   out += "{\"mean\":";
@@ -371,14 +184,12 @@ void append_estimate(std::string& out, const core::EstimateResult& result) {
   out += '}';
 }
 
-/// Joint fusion response: one entry per population with the fused estimate
+/// Joint fusion estimate: one entry per population with the fused estimate
 /// (headline), the independent posterior when the population has its own
 /// usable samples, and the borrowing diagnostics.
-std::string fusion_estimate_response(const std::string& id,
-                                     const Session& session) {
+void append_fusion_estimate(std::string& out, const Session& session) {
   const Counted<fusion::FusionSnapshot> counted = session.estimate_fusion();
   const fusion::FusionSnapshot& snapshot = counted.value;
-  std::string out = response_head("estimate", id);
   out += ",\"count\":" + std::to_string(counted.total);
   out += ",\"observed_populations\":" +
          std::to_string(snapshot.observed_populations);
@@ -411,28 +222,7 @@ std::string fusion_estimate_response(const std::string& id,
     }
     out += '}';
   }
-  out += "]}";
-  return out;
-}
-
-std::string handle_estimate(SessionRegistry& registry,
-                            const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  const std::shared_ptr<Session> session = registry.get(id);
-  if (session->is_fusion()) return fusion_estimate_response(id, *session);
-  const Counted<core::EstimateResult> result = session->estimate();
-  std::string out = response_head("estimate", id);
-  out += ",\"count\":" + std::to_string(result.total);
-  out += ",\"estimate\":";
-  append_estimate(out, result.value);
-  out += '}';
-  return out;
-}
-
-std::string handle_close(SessionRegistry& registry, const JsonValue& request) {
-  const std::string id = required_string(request, "session");
-  registry.close(id);
-  return response_head("close", id) + "}";
+  out += ']';
 }
 
 /// ,"server_version":"..","wire_version":N,"uptime_s":X — the compatibility
@@ -446,139 +236,196 @@ void append_version_fields(std::string& out) {
   append_double(out, process_uptime_s());
 }
 
-std::string handle_ping(std::uint64_t request_id) {
-  std::string out = response_head("ping", "");
-  out += ",\"request_id\":" + std::to_string(request_id);
-  append_version_fields(out);
-  out += '}';
-  return out;
-}
+void handle_ping(SessionRegistry&, const Request&, Reply&) {}
 
-std::string handle_metrics(std::uint64_t request_id) {
-  std::string out = response_head("metrics", "");
-  out += ",\"request_id\":" + std::to_string(request_id);
-  append_version_fields(out);
-  out += ",\"telemetry\":";
-  out += telemetry::json_snapshot_compact();
-  out += '}';
-  return out;
-}
-
-std::string handle_hello(const JsonValue& request, bool& switch_to_binary) {
-  const std::string mode = request.string_or("mode", "json");
+void handle_hello(SessionRegistry&, const Request& req, Reply& reply) {
+  const std::string mode = req.json->string_or("mode", "json");
   if (mode != "json" && mode != "binary") {
     throw DataError("\"mode\" must be \"json\" or \"binary\"",
                     ErrorContext{}.with_operation("serve_protocol"));
   }
-  switch_to_binary = mode == "binary";
-  std::string out = response_head("hello", "");
-  out += ",\"mode\":\"" + mode + "\"";
-  append_version_fields(out);
-  out += '}';
-  return out;
+  reply.switch_to_binary = mode == "binary";
+  reply.json = ",\"mode\":\"" + mode + "\"";
+  append_version_fields(reply.json);
 }
 
-std::string dispatch(SessionRegistry& registry, const JsonValue& request,
-                     ProtocolResult& result, OpId& op_id,
-                     std::string& session) {
-  if (!request.is_object()) {
+void handle_open(SessionRegistry& registry, const Request& req, Reply& reply) {
+  const std::shared_ptr<Session> session =
+      registry.open(req.session, *req.json);
+  reply.json = ",\"estimator\":\"";
+  append_escaped(reply.json, session->estimator_name());
+  reply.json += '"';
+}
+
+void handle_observe(SessionRegistry& registry, const Request& req,
+                    Reply& reply) {
+  reply.total =
+      registry.get(req.session)->observe(req.samples, req.population);
+  BMF_COUNTER_ADD("serve.observed_samples", req.samples.rows());
+}
+
+void handle_absorb(SessionRegistry& registry, const Request& req,
+                   Reply& reply) {
+  const Counted<bool> absorbed = registry.get(req.session)->absorb(req.shard);
+  reply.duplicate = !absorbed.value;
+  reply.total = absorbed.total;
+}
+
+void handle_stats(SessionRegistry& registry, const Request& req,
+                  Reply& reply) {
+  reply.shard =
+      registry.get(req.session)->export_shard(req.shard_id, req.population);
+}
+
+void handle_estimate(SessionRegistry& registry, const Request& req,
+                     Reply& reply) {
+  const std::shared_ptr<Session> session = registry.get(req.session);
+  if (session->is_fusion()) {
+    append_fusion_estimate(reply.json, *session);
+    return;
+  }
+  const Counted<core::EstimateResult> result = session->estimate();
+  reply.json = ",\"count\":" + std::to_string(result.total);
+  reply.json += ",\"estimate\":";
+  append_estimate(reply.json, result.value);
+}
+
+void handle_close(SessionRegistry& registry, const Request& req, Reply&) {
+  registry.close(req.session);
+}
+
+void handle_shutdown(SessionRegistry&, const Request&, Reply&) {}
+
+void handle_metrics(SessionRegistry&, const Request& req, Reply& reply) {
+  reply.json = ",\"request_id\":" + std::to_string(req.id);
+  append_version_fields(reply.json);
+  reply.json += ",\"telemetry\":";
+  reply.json += telemetry::json_snapshot_compact();
+}
+
+/// The members a request of an op carries, decoded in this order in both
+/// wire modes.
+enum Needs : unsigned {
+  kSession = 1u << 0,
+  kPopulation = 1u << 1,  ///< optional; binary: only with kFlagPopulation
+  kSamples = 1u << 2,
+  kShard = 1u << 3,
+  kShardId = 1u << 4,  ///< optional in JSON
+};
+
+struct OpSpec {
+  const char* name;     ///< the JSON "op" and the serve.<name>.* metrics
+  std::uint8_t opcode;  ///< native binary opcode; 0: JSON (or kJson) only
+  unsigned needs;
+  void (*handle)(SessionRegistry&, const Request&, Reply&);
+};
+
+/// The one op table: JSON dispatch, the opcode mapping and the per-op
+/// metrics all read it. Indexed by OpId.
+constexpr OpSpec kOps[] = {
+    {"ping", wire::kPing, 0, handle_ping},
+    {"hello", 0, 0, handle_hello},
+    {"open", 0, kSession, handle_open},
+    {"observe", wire::kObserve, kSession | kPopulation | kSamples,
+     handle_observe},
+    {"absorb", wire::kAbsorb, kSession | kShard, handle_absorb},
+    {"stats", wire::kStats, kSession | kPopulation | kShardId, handle_stats},
+    {"estimate", 0, kSession, handle_estimate},
+    {"close", 0, kSession, handle_close},
+    {"shutdown", 0, 0, handle_shutdown},
+    {"metrics", 0, 0, handle_metrics},
+    {"unknown", 0, 0, nullptr},
+};
+static_assert(std::size(kOps) == static_cast<std::size_t>(OpId::kUnknown) + 1);
+
+const OpSpec& spec(OpId op) { return kOps[static_cast<std::size_t>(op)]; }
+
+void record_op(OpId id, std::uint64_t elapsed_ns) {
+#if BMFUSION_TELEMETRY_ENABLED
+  // Per-op request counter + latency histogram. The BMF_* macros cache one
+  // metric per call site, which cannot key on a runtime op — this table
+  // resolves every per-op metric once (first call registers, allocating),
+  // after which recording is lock- and allocation-free, preserving the
+  // hot-path contract the alloc-contract test checks.
+  static const auto table = [] {
+    auto& reg = telemetry::Registry::instance();
+    std::array<std::pair<telemetry::Counter*, telemetry::Histogram*>,
+               std::size(kOps)>
+        out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::string prefix = std::string("serve.") + kOps[i].name;
+      out[i] = {&reg.counter(prefix + ".requests"),
+                &reg.histogram(prefix + ".latency_us")};
+    }
+    return out;
+  }();
+  const auto& [requests, latency_us] = table[static_cast<std::size_t>(id)];
+  requests->add(1);
+  latency_us->record(static_cast<double>(elapsed_ns) * 1e-3);
+#else
+  (void)id;
+  (void)elapsed_ns;
+#endif
+}
+
+const std::string& required_string(const JsonValue& request, const char* key) {
+  const JsonValue* value = request.find(key);
+  if (value == nullptr || !value->is_string()) {
+    throw DataError(std::string("request needs a string \"") + key + "\"",
+                    ErrorContext{}.with_operation("serve_protocol"));
+  }
+  return value->as_string();
+}
+
+const JsonValue& required_member(const JsonValue& request, const char* key) {
+  const JsonValue* value = request.find(key);
+  if (value == nullptr) {
+    throw DataError(std::string("request needs \"") + key + "\"",
+                    ErrorContext{}.with_operation("serve_protocol"));
+  }
+  return *value;
+}
+
+void decode_json(const JsonValue& json, Request& req) {
+  if (!json.is_object()) {
     throw DataError("request must be a JSON object",
                     ErrorContext{}.with_operation("serve_protocol"));
   }
-  const std::string op = required_string(request, "op");
-  if (const JsonValue* s = request.find("session");
+  const std::string& op = required_string(json, "op");
+  if (const JsonValue* s = json.find("session");
       s != nullptr && s->is_string()) {
-    session = s->as_string();
+    req.session = s->as_string();
   }
-  if (op == "ping") {
-    op_id = OpId::kPing;
-    return handle_ping(result.request_id);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(OpId::kUnknown); ++i) {
+    if (op == kOps[i].name) {
+      req.op = static_cast<OpId>(i);
+      break;
+    }
   }
-  if (op == "hello") {
-    op_id = OpId::kHello;
-    return handle_hello(request, result.switch_to_binary);
+  if (req.op == OpId::kUnknown) {
+    throw DataError("unknown op \"" + op + "\"",
+                    ErrorContext{}.with_operation("serve_protocol"));
   }
-  if (op == "open") {
-    op_id = OpId::kOpen;
-    return handle_open(registry, request);
+  req.json = &json;
+  const unsigned needs = spec(req.op).needs;
+  if ((needs & kSession) != 0) (void)required_string(json, "session");
+  if (const JsonValue* v = json.find("population");
+      v != nullptr && (needs & kPopulation) != 0) {
+    req.population = static_cast<std::size_t>(
+        parse_integer(*v, "population", kU32Limit));
+    req.has_population = true;
   }
-  if (op == "observe") {
-    op_id = OpId::kObserve;
-    return handle_observe(registry, request);
+  if ((needs & kSamples) != 0) {
+    req.samples = parse_matrix(required_member(json, "samples"), "samples");
   }
-  if (op == "absorb") {
-    op_id = OpId::kAbsorb;
-    return handle_absorb(registry, request);
+  if ((needs & kShard) != 0) {
+    req.shard = stats::shard_from_json(required_member(json, "shard"));
   }
-  if (op == "stats") {
-    op_id = OpId::kStats;
-    return handle_stats(registry, request);
+  if (const JsonValue* v = json.find("shard_id");
+      v != nullptr && (needs & kShardId) != 0) {
+    req.shard_id = parse_integer(*v, "shard_id", kShardIdLimit);
   }
-  if (op == "estimate") {
-    op_id = OpId::kEstimate;
-    return handle_estimate(registry, request);
-  }
-  if (op == "close") {
-    op_id = OpId::kClose;
-    return handle_close(registry, request);
-  }
-  if (op == "metrics") {
-    op_id = OpId::kMetrics;
-    return handle_metrics(result.request_id);
-  }
-  if (op == "shutdown") {
-    op_id = OpId::kShutdown;
-    result.shutdown = true;
-    return response_head("shutdown", "") + "}";
-  }
-  throw DataError("unknown op \"" + op + "\"",
-                  ErrorContext{}.with_operation("serve_protocol"));
 }
-
-}  // namespace
-
-ProtocolResult handle_request(SessionRegistry& registry,
-                              std::string_view line) {
-  const std::uint64_t start_ns = telemetry::now_ns();
-  BMF_COUNTER_ADD("serve.requests", 1);
-  ProtocolResult result;
-  result.request_id = next_request_id();
-  OpId op_id = OpId::kUnknown;
-  std::string session;
-  try {
-    const JsonValue request = parse_json(line);
-    BMF_HISTOGRAM_RECORD_US(
-        "serve.decode_us",
-        static_cast<double>(telemetry::now_ns() - start_ns) * 1e-3);
-    result.response = dispatch(registry, request, result, op_id, session);
-  } catch (const DataError& e) {
-    record_error(ErrorClass::kData);
-    result.response = error_response("DataError", e.what());
-  } catch (const ConfigError& e) {
-    record_error(ErrorClass::kConfig);
-    result.response = error_response("ConfigError", e.what());
-  } catch (const NumericError& e) {
-    record_error(ErrorClass::kNumeric);
-    result.response = error_response("NumericError", e.what());
-  } catch (const ContractError& e) {
-    record_error(ErrorClass::kContract);
-    result.response = error_response("ContractError", e.what());
-  } catch (const std::exception& e) {
-    record_error(ErrorClass::kInternal);
-    result.response = error_response("InternalError", e.what());
-  }
-  const std::uint64_t elapsed_ns = telemetry::now_ns() - start_ns;
-  BMF_HISTOGRAM_RECORD_US("serve.request_us",
-                          static_cast<double>(elapsed_ns) * 1e-3);
-  record_op(op_id, elapsed_ns);
-  if (past_slow_threshold(elapsed_ns)) {
-    note_slow_request(op_id, session, result.request_id, elapsed_ns,
-                      line.size());
-  }
-  return result;
-}
-
-namespace {
 
 /// Cursor over a binary request payload; all reads throw DataError with a
 /// byte offset on truncation, so malformed frames answer in-band like
@@ -587,20 +434,32 @@ class PayloadReader {
  public:
   explicit PayloadReader(std::string_view data) : data_(data) {}
 
-  std::uint16_t read_u16() { return read_scalar<std::uint16_t>(); }
-  std::uint32_t read_u32() { return read_scalar<std::uint32_t>(); }
-  std::uint64_t read_u64() { return read_scalar<std::uint64_t>(); }
-
-  std::string_view read_string() {
-    const std::uint16_t size = read_u16();
-    return read_bytes(size);
+  template <typename T>
+  T read() {
+    if (data_.size() - pos_ < sizeof(T)) fail("truncated");
+    T value{};
+    std::memcpy(&value, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return value;
   }
+
+  std::string_view read_string() { return read_bytes(read<std::uint16_t>()); }
 
   std::string_view read_bytes(std::size_t size) {
     if (data_.size() - pos_ < size) fail("truncated");
     const std::string_view out = data_.substr(pos_, size);
     pos_ += size;
     return out;
+  }
+
+  /// rows * cols doubles (rows > 0), checked against the bytes left by
+  /// dividing them: the product of two u32 counts and sizeof(double) can
+  /// wrap a 64-bit size_t.
+  std::string_view read_cells(std::uint32_t rows, std::uint32_t cols) {
+    if (cols > (data_.size() - pos_) / sizeof(double) / rows) {
+      fail("truncated");
+    }
+    return read_bytes(static_cast<std::size_t>(rows) * cols * sizeof(double));
   }
 
   /// Everything not consumed yet (shard bytes trail the fixed fields).
@@ -615,15 +474,6 @@ class PayloadReader {
   }
 
  private:
-  template <typename T>
-  T read_scalar() {
-    if (data_.size() - pos_ < sizeof(T)) fail("truncated");
-    T value;
-    std::memcpy(&value, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
   [[noreturn]] void fail(const char* what) const {
     throw DataError(
         std::string("malformed binary request payload (") + what + ")",
@@ -636,74 +486,207 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
-std::string binary_observe(SessionRegistry& registry, std::uint16_t flags,
-                           std::string_view payload, std::string& session_id) {
-  PayloadReader reader(payload);
-  session_id.assign(reader.read_string());
-  const std::size_t population =
-      (flags & wire::kFlagPopulation) != 0 ? reader.read_u32() : 0;
-  const std::uint32_t rows = reader.read_u32();
-  const std::uint32_t cols = reader.read_u32();
-  if (rows == 0 || cols == 0) {
-    throw DataError("observe frame needs rows > 0 and cols > 0",
+/// A native frame (every opcode but kJson). The op is known from the opcode
+/// alone, so it is set before any payload byte is read.
+void decode_binary(std::uint8_t opcode, std::uint16_t flags,
+                   std::string_view payload, Request& req) {
+  for (std::size_t i = 0; i < std::size(kOps); ++i) {
+    if (kOps[i].opcode != 0 && kOps[i].opcode == opcode) {
+      req.op = static_cast<OpId>(i);
+      break;
+    }
+  }
+  if (req.op == OpId::kUnknown) {
+    throw DataError("unknown binary opcode " + std::to_string(opcode),
                     ErrorContext{}.with_operation("serve_binary"));
   }
-  const std::string_view cells =
-      reader.read_bytes(static_cast<std::size_t>(rows) * cols *
-                        sizeof(double));
-  reader.expect_consumed();
-  Matrix samples(rows, cols);
-  std::memcpy(samples.data(), cells.data(), cells.size());
-  const std::size_t total =
-      registry.get(session_id)->observe(samples, population);
-  BMF_COUNTER_ADD("serve.observed_samples", rows);
-  std::string out;
-  wire::append_u32(out, rows);
-  wire::append_u64(out, total);
-  return out;
-}
-
-std::string binary_absorb(SessionRegistry& registry, std::string_view payload,
-                          std::string& session_id) {
+  const unsigned needs = spec(req.op).needs;
+  if (needs == 0) return;  // kPing: the payload is not read
   PayloadReader reader(payload);
-  session_id.assign(reader.read_string());
-  const stats::StatsShard shard = stats::parse_shard(reader.rest());
-  const Counted<bool> absorbed = registry.get(session_id)->absorb(shard);
-  std::string out;
-  out += static_cast<char>(absorbed.value ? 0 : 1);  // duplicate marker
-  wire::append_u64(out, absorbed.total);
-  return out;
-}
-
-std::string binary_stats(SessionRegistry& registry, std::uint16_t flags,
-                         std::string_view payload, std::string& session_id) {
-  PayloadReader reader(payload);
-  session_id.assign(reader.read_string());
-  const std::size_t population =
-      (flags & wire::kFlagPopulation) != 0 ? reader.read_u32() : 0;
-  const std::uint64_t shard_id = reader.read_u64();
+  req.session.assign(reader.read_string());
+  if ((needs & kPopulation) != 0 && (flags & wire::kFlagPopulation) != 0) {
+    req.population = reader.read<std::uint32_t>();
+  }
+  if ((needs & kSamples) != 0) {
+    const auto rows = reader.read<std::uint32_t>();
+    const auto cols = reader.read<std::uint32_t>();
+    if (rows == 0 || cols == 0) {
+      throw DataError("observe frame needs rows > 0 and cols > 0",
+                      ErrorContext{}.with_operation("serve_binary"));
+    }
+    const std::string_view cells = reader.read_cells(rows, cols);
+    req.samples = Matrix(rows, cols);
+    std::memcpy(req.samples.data(), cells.data(), cells.size());
+  }
+  if ((needs & kShard) != 0) req.shard = stats::parse_shard(reader.rest());
+  if ((needs & kShardId) != 0) req.shard_id = reader.read<std::uint64_t>();
   reader.expect_consumed();
-  const stats::StatsShard shard =
-      registry.get(session_id)->export_shard(shard_id, population);
-  return stats::serialize_shard(shard);
 }
 
-std::string binary_error_payload(std::string_view type,
-                                 std::string_view message) {
-  std::string out;
-  wire::append_string(out, type);
-  out.append(message);
+/// {"ok":true,"op":..,"session":.. then the op's members, "}". The session
+/// is echoed by the ops that need one.
+std::string encode_json(const Request& req, const Reply& reply) {
+  const OpSpec& op = spec(req.op);
+  std::string out =
+      response_head(op.name, (op.needs & kSession) != 0 ? req.session : "");
+  switch (req.op) {
+    case OpId::kPing:
+      out += ",\"request_id\":" + std::to_string(req.id);
+      append_version_fields(out);
+      break;
+    case OpId::kObserve:
+      if (req.has_population) {
+        out += ",\"population\":" + std::to_string(req.population);
+      }
+      out += ",\"observed\":" + std::to_string(req.samples.rows());
+      out += ",\"total\":" + std::to_string(reply.total);
+      break;
+    case OpId::kAbsorb:
+      out += reply.duplicate ? ",\"duplicate\":true" : ",\"duplicate\":false";
+      out += ",\"total\":" + std::to_string(reply.total);
+      break;
+    case OpId::kStats:
+      out += ",\"shard\":" + stats::shard_to_json(reply.shard);
+      break;
+    default: out += reply.json;
+  }
+  out += '}';
   return out;
+}
+
+void append_binary_reply(std::string& out, std::uint8_t opcode,
+                         const Request& req, const Reply& reply) {
+  std::string body;
+  switch (req.op) {
+    case OpId::kObserve:
+      wire::append_u32(body, static_cast<std::uint32_t>(req.samples.rows()));
+      wire::append_u64(body, reply.total);
+      break;
+    case OpId::kAbsorb:
+      body += static_cast<char>(reply.duplicate ? 1 : 0);
+      wire::append_u64(body, reply.total);
+      break;
+    case OpId::kStats: body = stats::serialize_shard(reply.shard); break;
+    default: break;  // kPing: an empty payload
+  }
+  wire::append_frame(out, opcode, 0, body);
+}
+
+/// Off the hot path by construction: only entered once a request already
+/// blew the slow threshold, so the structured log record and counter are
+/// free to allocate.
+void note_slow_request(const Request& req, std::uint64_t elapsed_ns,
+                       std::size_t bytes) {
+  BMF_COUNTER_ADD("serve.slow_requests", 1);
+  BMF_LOG_WARN("slow serve request", log::f("op", spec(req.op).name),
+               log::f("session", req.session), log::f("request_id", req.id),
+               log::f("latency_us", static_cast<double>(elapsed_ns) * 1e-3),
+               log::f("bytes", bytes));
+}
+
+/// The one place an exception meets the wire: counts serve.errors and
+/// serve.errors.<class>, and returns the type name the error response
+/// carries. Call only from a catch block.
+const char* classify_current_exception() {
+  BMF_COUNTER_ADD("serve.errors", 1);
+  try {
+    throw;
+  } catch (const DataError&) {
+    BMF_COUNTER_ADD("serve.errors.data", 1);
+    return "DataError";
+  } catch (const ConfigError&) {
+    BMF_COUNTER_ADD("serve.errors.config", 1);
+    return "ConfigError";
+  } catch (const NumericError&) {
+    BMF_COUNTER_ADD("serve.errors.numeric", 1);
+    return "NumericError";
+  } catch (const ContractError&) {
+    BMF_COUNTER_ADD("serve.errors.contract", 1);
+    return "ContractError";
+  } catch (...) {
+    BMF_COUNTER_ADD("serve.errors.internal", 1);
+    return "InternalError";
+  }
+}
+
+/// The accounting both wire modes share around one request: draws the
+/// request id, counts serve.requests, runs `serve` (decode, handle,
+/// encode), answers an exception through `fail(type, message)`, records
+/// serve.<op>.requests and serve.<op>.latency_us, and notes a slow request.
+/// Returns the elapsed time since `start_ns`.
+template <typename Serve, typename Fail>
+std::uint64_t accounted(std::uint64_t start_ns, Request& req,
+                        std::size_t bytes, Serve&& serve, Fail&& fail) {
+  BMF_COUNTER_ADD("serve.requests", 1);
+  req.id = next_request_id();
+  try {
+    serve();
+  } catch (const std::exception& e) {
+    fail(classify_current_exception(), e.what());
+  }
+  const std::uint64_t elapsed_ns = telemetry::now_ns() - start_ns;
+  record_op(req.op, elapsed_ns);
+  const std::uint64_t slow_ns =
+      g_slow_threshold_ns.load(std::memory_order_relaxed);
+  if (slow_ns != 0 && elapsed_ns >= slow_ns) {
+    note_slow_request(req, elapsed_ns, bytes);
+  }
+  return elapsed_ns;
 }
 
 }  // namespace
 
+std::string json_escaped(std::string_view text) {
+  std::string out;
+  append_escaped(out, text);
+  return out;
+}
+
+std::string json_error_response(std::string_view type,
+                                std::string_view message) {
+  std::string out = "{\"ok\":false,\"error\":{\"type\":\"";
+  append_escaped(out, type);
+  out += "\",\"message\":\"";
+  append_escaped(out, message);
+  out += "\"}}";
+  return out;
+}
+
+ProtocolResult handle_request(SessionRegistry& registry,
+                              std::string_view line) {
+  const std::uint64_t start_ns = telemetry::now_ns();
+  ProtocolResult result;
+  Request req;
+  const std::uint64_t elapsed_ns = accounted(
+      start_ns, req, line.size(),
+      [&] {
+        const JsonValue json = parse_json(line);
+        BMF_HISTOGRAM_RECORD_US(
+            "serve.decode_us",
+            static_cast<double>(telemetry::now_ns() - start_ns) * 1e-3);
+        decode_json(json, req);
+        Reply reply;
+        spec(req.op).handle(registry, req, reply);
+        result.shutdown = req.op == OpId::kShutdown;
+        result.switch_to_binary = reply.switch_to_binary;
+        result.response = encode_json(req, reply);
+      },
+      [&](const char* type, const char* message) {
+        result.response = json_error_response(type, message);
+      });
+  result.request_id = req.id;
+  BMF_HISTOGRAM_RECORD_US("serve.request_us",
+                          static_cast<double>(elapsed_ns) * 1e-3);
+  return result;
+}
+
 BinaryResult handle_binary_request(SessionRegistry& registry,
-                                   std::uint8_t opcode, std::uint16_t req_flags,
+                                   std::uint8_t opcode, std::uint16_t flags,
                                    std::string_view payload) {
   BinaryResult result;
   // The kJson escape hatch routes through handle_request, which does its
   // own counting/timing; only native binary ops are accounted for here.
+  // Its error answers travel as {"ok":false,...} in an unflagged frame.
   if (opcode == wire::kJson) {
     const ProtocolResult json = handle_request(registry, payload);
     result.shutdown = json.shutdown;
@@ -711,69 +694,24 @@ BinaryResult handle_binary_request(SessionRegistry& registry,
     wire::append_frame(result.response, opcode, 0, json.response);
     return result;
   }
-  const std::uint64_t start_ns = telemetry::now_ns();
-  BMF_COUNTER_ADD("serve.requests", 1);
-  result.request_id = next_request_id();
-  OpId op_id = OpId::kUnknown;
-  switch (opcode) {
-    case wire::kObserve: op_id = OpId::kObserve; break;
-    case wire::kAbsorb: op_id = OpId::kAbsorb; break;
-    case wire::kStats: op_id = OpId::kStats; break;
-    case wire::kPing: op_id = OpId::kPing; break;
-    default: break;
-  }
-  std::string body;
-  std::string session;
-  std::uint16_t flags = 0;
-  try {
-    switch (opcode) {
-      case wire::kObserve:
-        body = binary_observe(registry, req_flags, payload, session);
-        break;
-      case wire::kAbsorb:
-        body = binary_absorb(registry, payload, session);
-        break;
-      case wire::kStats:
-        body = binary_stats(registry, req_flags, payload, session);
-        break;
-      case wire::kPing: break;
-      default:
-        throw DataError(
-            "unknown binary opcode " + std::to_string(opcode),
-            ErrorContext{}.with_operation("serve_binary"));
-    }
-  } catch (const DataError& e) {
-    record_error(ErrorClass::kData);
-    flags = wire::kFlagError;
-    body = binary_error_payload("DataError", e.what());
-  } catch (const ConfigError& e) {
-    record_error(ErrorClass::kConfig);
-    flags = wire::kFlagError;
-    body = binary_error_payload("ConfigError", e.what());
-  } catch (const NumericError& e) {
-    record_error(ErrorClass::kNumeric);
-    flags = wire::kFlagError;
-    body = binary_error_payload("NumericError", e.what());
-  } catch (const ContractError& e) {
-    record_error(ErrorClass::kContract);
-    flags = wire::kFlagError;
-    body = binary_error_payload("ContractError", e.what());
-  } catch (const std::exception& e) {
-    record_error(ErrorClass::kInternal);
-    flags = wire::kFlagError;
-    body = binary_error_payload("InternalError", e.what());
-  }
-  wire::append_frame(result.response, opcode, flags, body);
   // No serve.request_us record here: on the binary hot path the per-op
-  // latency histogram (record_op) already carries the timing, and the
-  // aggregate would be a second bucket scan per request. serve.request_us
-  // stays JSON-transport-only (where it additionally covers decode).
-  const std::uint64_t elapsed_ns = telemetry::now_ns() - start_ns;
-  record_op(op_id, elapsed_ns);
-  if (past_slow_threshold(elapsed_ns)) {
-    note_slow_request(op_id, session, result.request_id, elapsed_ns,
-                      payload.size());
-  }
+  // latency histogram already carries the timing, and the aggregate would
+  // be a second bucket scan per request. serve.request_us stays
+  // JSON-transport-only (where it additionally covers decode).
+  Request req;
+  accounted(
+      telemetry::now_ns(), req, payload.size(),
+      [&] {
+        decode_binary(opcode, flags, payload, req);
+        Reply reply;
+        spec(req.op).handle(registry, req, reply);
+        append_binary_reply(result.response, opcode, req, reply);
+      },
+      [&](const char* type, const char* message) {
+        result.response.clear();
+        wire::append_error_frame(result.response, opcode, type, message);
+      });
+  result.request_id = req.id;
   return result;
 }
 

@@ -30,6 +30,15 @@
 // stateless apart from the shared SessionRegistry, so any number of
 // connections (or an in-process test) can drive it concurrently.
 //
+// Both wire modes share one request path: decode -> handle -> encode. A
+// JSON line or a native binary frame decodes into one typed request (op,
+// session, population, samples, shard, shard id); one handler per op runs
+// it against the SessionRegistry; a per-mode encoder writes the reply. One
+// accounting wrapper around the path assigns the request id, counts and
+// times it, and maps an exception to its wire type and serve.errors.<class>
+// counter. The transport's own rejections (oversized lines, corrupt
+// frames) go through the same error encoders.
+//
 // Observability: every request draws a process-wide monotonic request id
 // (echoed by "ping" and "metrics" responses and carried on every
 // ProtocolResult/BinaryResult). "ping" and "hello" responses report
@@ -166,7 +175,28 @@ inline void append_string(std::string& out, std::string_view text) {
   out.append(text);
 }
 
+/// Appends the error frame answering `opcode`: kFlagError set, payload
+/// u16 type length, type bytes, message bytes.
+inline void append_error_frame(std::string& out, std::uint8_t opcode,
+                               std::string_view type,
+                               std::string_view message) {
+  append_frame_header(out, opcode, kFlagError,
+                      static_cast<std::uint32_t>(2 + type.size() +
+                                                 message.size()));
+  append_string(out, type);
+  out.append(message);
+}
+
 }  // namespace wire
+
+/// The JSON-mode error response {"ok":false,"error":{"type":..,
+/// "message":..}}, without a trailing newline.
+[[nodiscard]] std::string json_error_response(std::string_view type,
+                                              std::string_view message);
+
+/// `text` escaped for the inside of a JSON string: quotes, backslashes and
+/// control characters.
+[[nodiscard]] std::string json_escaped(std::string_view text);
 
 struct ProtocolResult {
   std::string response;   ///< one JSON object, no trailing newline
@@ -179,9 +209,11 @@ struct ProtocolResult {
   std::uint64_t request_id = 0;
 };
 
-/// Parses and executes one request line against `registry`. All protocol
-/// and estimation errors are converted into {"ok":false,...} responses;
-/// only non-exception failures (e.g. std::bad_alloc) propagate.
+/// Parses and executes one request line against `registry`. Every
+/// std::exception becomes an {"ok":false,...} response: protocol and
+/// estimation errors by their type, anything else (std::bad_alloc,
+/// std::length_error) as InternalError. Only exceptions outside
+/// std::exception propagate.
 [[nodiscard]] ProtocolResult handle_request(SessionRegistry& registry,
                                             std::string_view line);
 

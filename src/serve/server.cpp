@@ -79,12 +79,6 @@ int listen_loopback(std::uint16_t port, int backlog,
   return fd;
 }
 
-std::string oversized_line_response(std::size_t limit) {
-  return "{\"ok\":false,\"error\":{\"type\":\"DataError\",\"message\":"
-         "\"request exceeds max_request_bytes (" +
-         std::to_string(limit) + ")\"}}\n";
-}
-
 }  // namespace
 
 /// One epoll loop: owns its connections outright (fd, buffers, framing
@@ -360,7 +354,8 @@ class Server::IoLoop {
         if (newline == std::string::npos) {
           conn.scan_pos = conn.in.size();
           if (conn.in.size() - conn.in_pos > limit) {
-            reject_oversized(conn, oversized_line_response(limit));
+            reject_oversized(conn, 0, "request exceeds max_request_bytes (" +
+                                          std::to_string(limit) + ")");
             fatal = true;
           }
           break;
@@ -372,7 +367,8 @@ class Server::IoLoop {
         if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
         if (line.empty()) continue;
         if (line.size() > limit) {
-          reject_oversized(conn, oversized_line_response(limit));
+          reject_oversized(conn, 0, "request exceeds max_request_bytes (" +
+                                        std::to_string(limit) + ")");
           fatal = true;
           break;
         }
@@ -399,16 +395,11 @@ class Server::IoLoop {
         if (head[0] != wire::kMagic || payload_size > limit) {
           // No way to resync a corrupt or oversized frame stream: answer
           // once, then close.
-          std::string error;
-          wire::append_string(
-              error, "DataError");
-          error += head[0] != wire::kMagic
-                       ? "bad frame magic"
-                       : "frame exceeds max_request_bytes (" +
-                             std::to_string(limit) + ")";
-          std::string frame;
-          wire::append_frame(frame, opcode, wire::kFlagError, error);
-          reject_oversized(conn, frame);
+          reject_oversized(conn, opcode,
+                           head[0] != wire::kMagic
+                               ? "bad frame magic"
+                               : "frame exceeds max_request_bytes (" +
+                                     std::to_string(limit) + ")");
           fatal = true;
           break;
         }
@@ -482,11 +473,17 @@ class Server::IoLoop {
     return true;
   }
 
-  /// Oversized request / corrupt frame: answer in-band, count it, stop
-  /// reading, close once the error has left.
-  void reject_oversized(Connection& conn, std::string response) {
+  /// Oversized request / corrupt frame: answer a DataError in-band in the
+  /// connection's wire mode, count it, stop reading, close once the error
+  /// has left.
+  void reject_oversized(Connection& conn, std::uint8_t opcode,
+                        const std::string& message) {
     BMF_COUNTER_ADD("serve.oversized_requests", 1);
-    conn.out += response;
+    if (conn.binary) {
+      wire::append_error_frame(conn.out, opcode, "DataError", message);
+    } else {
+      conn.out += json_error_response("DataError", message) + '\n';
+    }
     conn.close_after_flush = true;
     conn.reading_disabled = true;
     conn.in.clear();

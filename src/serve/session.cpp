@@ -1,5 +1,6 @@
 #include "serve/session.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -25,14 +26,22 @@ namespace {
                       detail));
 }
 
+/// A malformed member of any request, open spec or not: names the member.
+[[noreturn]] void member_error(const std::string& what,
+                               const std::string& problem) {
+  throw DataError("\"" + what + "\" " + problem,
+                  ErrorContext{}.with_operation("serve_protocol").with_detail(
+                      "field: " + what));
+}
+
 }  // namespace
 
 Vector parse_vector(const JsonValue& value, const std::string& what) {
-  if (!value.is_array()) spec_error(what + " must be an array of numbers");
+  if (!value.is_array()) member_error(what, "must be an array of numbers");
   std::vector<double> data;
   data.reserve(value.as_array().size());
   for (const JsonValue& cell : value.as_array()) {
-    if (!cell.is_number()) spec_error(what + " must be an array of numbers");
+    if (!cell.is_number()) member_error(what, "must be an array of numbers");
     data.push_back(cell.as_number());
   }
   return Vector(std::move(data));
@@ -40,7 +49,7 @@ Vector parse_vector(const JsonValue& value, const std::string& what) {
 
 Matrix parse_matrix(const JsonValue& value, const std::string& what) {
   if (!value.is_array() || value.as_array().empty()) {
-    spec_error(what + " must be a non-empty array of rows");
+    member_error(what, "must be a non-empty array of rows");
   }
   const auto& rows = value.as_array();
   const Vector first = parse_vector(rows[0], what + " row");
@@ -48,10 +57,20 @@ Matrix parse_matrix(const JsonValue& value, const std::string& what) {
   out.set_row(0, first);
   for (std::size_t r = 1; r < rows.size(); ++r) {
     const Vector row = parse_vector(rows[r], what + " row");
-    if (row.size() != first.size()) spec_error(what + " rows are ragged");
+    if (row.size() != first.size()) member_error(what, "rows are ragged");
     out.set_row(r, row);
   }
   return out;
+}
+
+std::uint64_t parse_integer(const JsonValue& value, const std::string& what,
+                            IntegerLimit limit) {
+  const double raw = value.is_number() ? value.as_number() : -1.0;
+  if (!(raw >= 0.0 && raw <= limit.max && std::floor(raw) == raw)) {
+    member_error(what, "must be a nonnegative integer no larger than " +
+                           std::string(limit.text));
+  }
+  return static_cast<std::uint64_t>(raw);
 }
 
 namespace {
@@ -69,33 +88,24 @@ GaussianMoments parse_moments(const JsonValue& value,
   return moments;
 }
 
-std::size_t parse_count(const JsonValue& value, const std::string& what) {
-  if (!value.is_number() || value.as_number() < 0.0) {
-    spec_error(what + " must be a nonnegative number");
-  }
-  return static_cast<std::size_t>(value.as_number());
-}
-
 CrossValidationConfig parse_cv_config(const JsonValue& spec) {
   CrossValidationConfig cv;
   const JsonValue* config = spec.find("config");
   if (config == nullptr) return cv;
-  if (const JsonValue* v = config->find("folds")) {
-    cv.folds = parse_count(*v, "config.folds");
-  }
-  if (const JsonValue* v = config->find("kappa_points")) {
-    cv.kappa_points = parse_count(*v, "config.kappa_points");
-  }
-  if (const JsonValue* v = config->find("nu_points")) {
-    cv.nu_points = parse_count(*v, "config.nu_points");
-  }
+  const auto count = [config](const char* key, std::size_t fallback) {
+    const JsonValue* v = config->find(key);
+    return v == nullptr ? fallback
+                        : static_cast<std::size_t>(parse_integer(
+                              *v, std::string("config.") + key, kU32Limit));
+  };
+  cv.folds = count("folds", cv.folds);
+  cv.kappa_points = count("kappa_points", cv.kappa_points);
+  cv.nu_points = count("nu_points", cv.nu_points);
   cv.kappa_min = config->number_or("kappa_min", cv.kappa_min);
   cv.kappa_max = config->number_or("kappa_max", cv.kappa_max);
   cv.nu_offset_min = config->number_or("nu_offset_min", cv.nu_offset_min);
   cv.nu_offset_max = config->number_or("nu_offset_max", cv.nu_offset_max);
-  if (const JsonValue* v = config->find("threads")) {
-    cv.threads = parse_count(*v, "config.threads");
-  }
+  cv.threads = count("threads", cv.threads);
   return cv;
 }
 

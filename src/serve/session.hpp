@@ -71,6 +71,22 @@ make_fusion_estimator(const JsonValue& spec);
 [[nodiscard]] linalg::Matrix parse_matrix(const JsonValue& value,
                                           const std::string& what);
 
+/// parse_integer's bound and its spelling in the error: a u32 for population
+/// ids and config counts, 2^53 (exact in a double) for shard ids.
+struct IntegerLimit {
+  double max;
+  const char* text;
+};
+inline constexpr IntegerLimit kU32Limit{4294967295.0, "2^32-1"};
+inline constexpr IntegerLimit kShardIdLimit{9007199254740992.0, "2^53"};
+
+/// An exact nonnegative integer no larger than `limit`. JSON numbers are
+/// doubles: fractions, negatives, non-numbers and out-of-range values (inf
+/// included) throw DataError naming `what` instead of being cast.
+[[nodiscard]] std::uint64_t parse_integer(const JsonValue& value,
+                                          const std::string& what,
+                                          IntegerLimit limit);
+
 /// A session call's result together with the session's total sample count
 /// (summed over populations), both read under one lock acquisition so a
 /// concurrent write cannot make the count describe a different stream.

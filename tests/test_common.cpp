@@ -1,5 +1,5 @@
 // Tests for the common substrate: contracts, strings, csv, cli, table,
-// parallel_for, stopwatch.
+// parallel_for, stopwatch, the JSON parser's nesting cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +8,7 @@
 #include "common/cli.hpp"
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -298,6 +299,49 @@ TEST(Timer, RestartResetsOrigin) {
   const double before = sw.restart();
   EXPECT_GE(before, 0.0);
   EXPECT_LE(sw.seconds(), before + 1.0);  // restarted clock is near zero
+}
+
+// --------------------------------------------------------------------- json
+
+/// `depth` arrays nested inside each other around one number.
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + "1" + std::string(depth, ']');
+}
+
+TEST(Json, ParsesNestingAtTheCap) {
+  JsonValue value = parse_json(nested_arrays(kJsonMaxDepth));
+  for (std::size_t level = 0; level < kJsonMaxDepth; ++level) {
+    ASSERT_TRUE(value.is_array()) << level;
+    ASSERT_EQ(value.as_array().size(), 1u);
+    value = JsonValue(value.as_array()[0]);
+  }
+  EXPECT_EQ(value.as_number(), 1.0);
+  EXPECT_NO_THROW((void)parse_json(
+      std::string(kJsonMaxDepth - 1, '[') + "{\"a\":1}" +
+      std::string(kJsonMaxDepth - 1, ']')));
+}
+
+TEST(Json, RejectsNestingPastTheCapWithTheByteIndex) {
+  for (const std::string& text :
+       {nested_arrays(kJsonMaxDepth + 1),
+        std::string(kJsonMaxDepth, '[') + "{\"a\":1}" +
+            std::string(kJsonMaxDepth, ']'),
+        std::string(100000, '[')}) {
+    try {
+      (void)parse_json(text);
+      FAIL() << "nesting past the cap parsed";
+    } catch (const DataError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nesting deeper than " +
+                          std::to_string(kJsonMaxDepth) + " levels"),
+                std::string::npos)
+          << what;
+      // The offending open bracket is the first one past the cap.
+      EXPECT_NE(what.find("index=" + std::to_string(kJsonMaxDepth)),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 }  // namespace
