@@ -35,7 +35,7 @@ date_iso="$(date +%F)"
 
 echo "==> bench: Release build"
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-bench -j --target micro_circuit micro_cv micro_serve \
+cmake --build build-bench -j "$(nproc)" --target micro_circuit micro_cv micro_serve \
   micro_fusion micro_linalg bmf_soak
 
 echo "==> bench: fast-path parity gate"
@@ -108,7 +108,7 @@ if [[ "${notel_serve}" -eq 1 ]]; then
   echo "==> bench: bmf_soak metrics-OFF lane (telemetry overhead gate)"
   cmake -B build-bench-notel -S . -DCMAKE_BUILD_TYPE=Release \
     -DBMFUSION_TELEMETRY=OFF
-  cmake --build build-bench-notel -j --target bmf_soak
+  cmake --build build-bench-notel -j "$(nproc)" --target bmf_soak
   for _rep in 1 2 3; do
     ./build-bench-notel/tools/bmf_soak --requests 30000 --sessions 4 \
       --batch 16 --estimate-every 100 --json BENCH_serve.json \

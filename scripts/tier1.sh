@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, then a
+# Tier-1 verification: the standard build + full test suite, a build of
+# the repository benchmark (perfbench/, compiled only), then a
 # telemetry-OFF configure (every BMF_* macro compiles to a no-op and the
 # whole suite must still pass — the instrumentation is strictly additive),
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
@@ -38,15 +39,22 @@ done
 
 echo "==> tier-1: standard build + full ctest"
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+# The repository benchmark (perfbench/) compiles the library from src/ in
+# its own tree and uses its public declarations, so a src/ change that
+# breaks one fails here rather than only in a benchmark run. Built, not run.
+echo "==> tier-1: perfbench build"
+cmake -B build-perfbench -S perfbench
+cmake --build build-perfbench -j "$(nproc)" --target perfbench
 
 if [[ "${skip_telemetry_off}" -eq 1 ]]; then
   echo "==> tier-1: telemetry-OFF stage skipped (--skip-telemetry-off)"
 else
   echo "==> tier-1: telemetry-OFF build + full ctest"
   cmake -B build-notel -S . -DBMFUSION_TELEMETRY=OFF
-  cmake --build build-notel -j
+  cmake --build build-notel -j "$(nproc)"
   ctest --test-dir build-notel --output-on-failure -j "$(nproc)"
 fi
 
@@ -55,7 +63,7 @@ if [[ "${skip_asan}" -eq 1 ]]; then
 else
   echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log suites"
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
-  cmake --build build-asan -j \
+  cmake --build build-asan -j "$(nproc)" \
     --target test_fault_injection test_telemetry test_log test_fusion \
     test_streaming test_dsp test_montecarlo_perf test_serve test_common
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -96,7 +104,7 @@ else
   # not timing, so it is stable on loaded CI machines while still walking
   # every hot-path pointer with ASan watching.
   echo "==> tier-1: perf smoke (micro_circuit --parity under ASan+UBSan)"
-  cmake --build build-asan -j --target micro_circuit
+  cmake --build build-asan -j "$(nproc)" --target micro_circuit
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/bench/micro_circuit --parity
 
@@ -107,7 +115,7 @@ else
   # clean shutdown is required for the process to exit at all. The stdio
   # transport of the bmf_serve binary itself rides along as a one-liner.
   echo "==> tier-1: serve smoke (bmf_soak + bmf_serve --stdio under ASan+UBSan)"
-  cmake --build build-asan -j --target bmf_soak bmf_serve
+  cmake --build build-asan -j "$(nproc)" --target bmf_soak bmf_serve
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tools/bmf_soak --requests 10000 --sessions 4 --batch 8 \
     --estimate-every 200
@@ -129,7 +137,7 @@ else
   # the admin endpoints end to end. SIGTERM must drain to a clean exit so
   # the leak check still runs.
   echo "==> tier-1: admin plane smoke (scrape + bmf_doctor --live mid-soak)"
-  cmake --build build -j --target bmf_doctor
+  cmake --build build -j "$(nproc)" --target bmf_doctor
   admin_dir="$(mktemp -d)"
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tools/bmf_serve --port 0 --port-file "${admin_dir}/port" \
@@ -172,7 +180,7 @@ if [[ "${skip_tsan}" -eq 1 ]]; then
 else
   echo "==> tier-1: TSan build + telemetry shard-merge + log sink tests"
   cmake -B build-tsan -S . -DBMF_SANITIZE=thread
-  cmake --build build-tsan -j \
+  cmake --build build-tsan -j "$(nproc)" \
     --target test_telemetry test_log test_serve test_fusion
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_telemetry \
@@ -201,7 +209,8 @@ else
   # short multi-threaded micro_circuit parity run covers the full
   # bench-to-reduction stack in one process.
   echo "==> tier-1: TSan Monte Carlo (test_montecarlo_perf + micro_circuit --parity)"
-  cmake --build build-tsan -j --target test_montecarlo_perf micro_circuit
+  cmake --build build-tsan -j "$(nproc)" \
+    --target test_montecarlo_perf micro_circuit
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_montecarlo_perf \
     --gtest_filter='ThreadInvariance.*:ExceptionPropagation.*'

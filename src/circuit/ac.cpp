@@ -142,27 +142,6 @@ Complex AcAnalysis::node_response(double freq_hz, NodeId node) const {
   return x[node - 1];
 }
 
-Complex AcAnalysis::transfer_impedance(double freq_hz, NodeId into,
-                                       NodeId out_of, NodeId probe) const {
-  BMFUSION_REQUIRE(freq_hz >= 0.0, "frequency must be non-negative");
-  BMFUSION_REQUIRE(into != out_of,
-                   "injection terminals must be distinct nodes");
-  if (probe == kGround) return Complex{};
-  BMFUSION_REQUIRE(probe - 1 < n_nodes_, "probe node id out of range");
-  const double omega = 2.0 * kPi * freq_hz;
-  ComplexMatrix a(n_unknowns_, n_unknowns_);
-  for (std::size_t r = 0; r < n_unknowns_; ++r) {
-    for (std::size_t c = 0; c < n_unknowns_; ++c) {
-      a(r, c) = Complex{g_(r, c), omega * c_(r, c)};
-    }
-  }
-  ComplexVector rhs(n_unknowns_);
-  if (into != kGround) rhs[into - 1] += Complex{1.0, 0.0};
-  if (out_of != kGround) rhs[out_of - 1] -= Complex{1.0, 0.0};
-  const ComplexVector x = ComplexLu(a).solve(rhs);
-  return x[probe - 1];
-}
-
 void AcAnalysis::sweep_into(const std::vector<double>& freqs_hz, NodeId probe,
                             ComplexMatrix& system, ComplexLu& lu,
                             ComplexVector& solution,

@@ -54,15 +54,6 @@ class AcAnalysis {
                   linalg::ComplexVector& solution,
                   std::vector<linalg::Complex>& out) const;
 
-  /// Transfer impedance: voltage at `probe` per unit AC current injected
-  /// into node `into` and drawn out of node `out_of`, with the netlist's
-  /// own AC sources silenced. This is the propagation kernel used by the
-  /// noise analysis.
-  [[nodiscard]] linalg::Complex transfer_impedance(double freq_hz,
-                                                   NodeId into,
-                                                   NodeId out_of,
-                                                   NodeId probe) const;
-
  private:
   std::size_t n_nodes_ = 0;
   std::size_t n_unknowns_ = 0;

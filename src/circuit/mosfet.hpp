@@ -35,7 +35,6 @@ struct MosfetModel {
   double cox_area = 8e-3; ///< gate-oxide capacitance per area [F/m^2]
   double cov_width = 3e-10; ///< gate overlap capacitance per width [F/m]
   double cj_width = 4e-10;  ///< junction capacitance per width [F/m]
-  double kf = 3e-26;      ///< flicker-noise coefficient [V^2 F] (0 = off)
 };
 
 /// Instance geometry.

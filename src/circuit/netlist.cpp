@@ -88,12 +88,6 @@ void Netlist::add_mosfet(const std::string& name, NodeId drain, NodeId gate,
       MosfetInstance{name, drain, gate, source, model, geometry, variation});
 }
 
-void Netlist::set_voltage_source_dc(std::size_t index, double dc) {
-  BMFUSION_REQUIRE(index < voltage_sources_.size(),
-                   "voltage source index out of range");
-  voltage_sources_[index].dc = dc;
-}
-
 void Netlist::set_resistance(std::size_t index, double resistance) {
   BMFUSION_REQUIRE(index < resistors_.size(), "resistor index out of range");
   BMFUSION_REQUIRE(resistance > 0.0, "resistance must be positive: " +

@@ -107,10 +107,6 @@ class Netlist {
   /// Suggests a Newton starting voltage for a node (defaults to 0 V).
   void set_initial_guess(NodeId node, double voltage);
 
-  /// Updates the DC value of an existing voltage source (used by DC
-  /// sweeps); `index` is the order of addition.
-  void set_voltage_source_dc(std::size_t index, double dc);
-
   /// Element value mutators for Monte Carlo reuse: a testbench builds its
   /// topology once and rewrites only the varying values per die, instead of
   /// reconstructing the netlist (names, node maps) for every sample.

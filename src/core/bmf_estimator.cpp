@@ -86,10 +86,14 @@ GaussianMoments BmfEstimator::fuse_at(const GaussianMoments& early_scaled,
 
 BmfResult BmfEstimator::estimate_scaled(const GaussianMoments& early_scaled,
                                         const Matrix& late_scaled,
-                                        const CrossValidationConfig& cv) {
+                                        const CrossValidationConfig& cv,
+                                        HyperSelection selection) {
   CrossValidationResult selected;
   try {
-    selected = select_hyperparameters(early_scaled, late_scaled, cv);
+    selected =
+        selection == HyperSelection::kEvidence
+            ? select_hyperparameters_evidence(early_scaled, late_scaled, cv)
+            : select_hyperparameters(early_scaled, late_scaled, cv);
   } catch (const NumericError& e) {
     rethrow_selection_failure(e, early_scaled.dimension(),
                               late_scaled.rows());
@@ -155,16 +159,16 @@ BmfResult BmfEstimator::do_estimate(const Matrix& late_samples,
                    "bmf estimation needs >= 2 late-stage samples");
 
   if (!config_.apply_shift_scale) {
-    BmfResult result =
-        estimate_scaled(early_.moments, late_samples, config_.cv);
-    return result;
+    return estimate_scaled(early_.moments, late_samples, config_.cv,
+                           config_.selection);
   }
 
   const StageTransforms& transforms = transforms_for(late_nominal);
   const GaussianMoments early_scaled = transforms.early.apply(early_.moments);
   const Matrix late_scaled = transforms.late.apply(late_samples);
 
-  BmfResult result = estimate_scaled(early_scaled, late_scaled, config_.cv);
+  BmfResult result = estimate_scaled(early_scaled, late_scaled, config_.cv,
+                                     config_.selection);
   result.moments = transforms.late.invert(result.scaled_moments);
   return result;
 }

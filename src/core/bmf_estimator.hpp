@@ -77,11 +77,12 @@ class BmfEstimator final : public MomentEstimator {
   [[nodiscard]] std::string_view name() const override { return "bmf"; }
 
   /// Scaled-space core used by estimate() and by the experiment harness
-  /// (which evaluates errors in scaled space): selects hyper-parameters and
-  /// fuses, all inputs/outputs in the normalized space.
+  /// (which evaluates errors in scaled space): selects hyper-parameters by
+  /// `selection` and fuses, all inputs/outputs in the normalized space.
   [[nodiscard]] static BmfResult estimate_scaled(
       const GaussianMoments& early_scaled,
-      const linalg::Matrix& late_scaled, const CrossValidationConfig& cv);
+      const linalg::Matrix& late_scaled, const CrossValidationConfig& cv,
+      HyperSelection selection = HyperSelection::kCrossValidation);
 
   /// The same core fed from per-fold sufficient statistics in the scaled
   /// space — the one selection + fusion + fallback path every entry style

@@ -13,8 +13,7 @@
 //
 // Compared to the moment-level estimator this captures non-Gaussian shape
 // (skew, multimodality) of a single metric; compared to the multivariate
-// method it cannot see correlations. It completes the prior-work trio:
-// [5] BMF-BD (pass/fail), [7] univariate moments, [8] densities.
+// method it cannot see correlations.
 #pragma once
 
 #include <cstddef>

@@ -78,86 +78,6 @@ double log_beta(double a, double b) {
   return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
 }
 
-namespace {
-
-/// Continued-fraction kernel for the incomplete beta (Numerical-Recipes
-/// style modified Lentz algorithm). Valid for x < (a+1)/(a+b+2).
-double betacf(double a, double b, double x) {
-  constexpr int kMaxIter = 300;
-  constexpr double kEps = 3e-16;
-  constexpr double kTiny = 1e-300;
-  const double qab = a + b;
-  const double qap = a + 1.0;
-  const double qam = a - 1.0;
-  double c = 1.0;
-  double d = 1.0 - qab * x / qap;
-  if (std::fabs(d) < kTiny) d = kTiny;
-  d = 1.0 / d;
-  double h = d;
-  for (int m = 1; m <= kMaxIter; ++m) {
-    const double m2 = 2.0 * m;
-    double aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    h *= d * c;
-    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < kEps) return h;
-  }
-  throw NumericError("incomplete beta continued fraction did not converge");
-}
-
-}  // namespace
-
-double regularized_incomplete_beta(double a, double b, double x) {
-  BMFUSION_REQUIRE(a > 0.0 && b > 0.0,
-                   "incomplete beta needs positive shape parameters");
-  BMFUSION_REQUIRE(x >= 0.0 && x <= 1.0, "incomplete beta needs x in [0,1]");
-  if (x == 0.0) return 0.0;
-  if (x == 1.0) return 1.0;
-  const double log_front = a * std::log(x) + b * std::log1p(-x) -
-                           log_beta(a, b);
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return std::exp(log_front) * betacf(a, b, x) / a;
-  }
-  return 1.0 - std::exp(log_front) * betacf(b, a, 1.0 - x) / b;
-}
-
-double beta_quantile(double a, double b, double p) {
-  BMFUSION_REQUIRE(p > 0.0 && p < 1.0, "beta quantile needs p in (0,1)");
-  // Bisection to ~1e-8, then Newton polish using the density.
-  double lo = 0.0;
-  double hi = 1.0;
-  double x = a / (a + b);
-  for (int i = 0; i < 60; ++i) {
-    x = 0.5 * (lo + hi);
-    if (regularized_incomplete_beta(a, b, x) < p) {
-      lo = x;
-    } else {
-      hi = x;
-    }
-  }
-  for (int i = 0; i < 3; ++i) {
-    if (x <= 0.0 || x >= 1.0) break;
-    const double f = regularized_incomplete_beta(a, b, x) - p;
-    const double log_pdf = (a - 1.0) * std::log(x) +
-                           (b - 1.0) * std::log1p(-x) - log_beta(a, b);
-    const double step = f / std::exp(log_pdf);
-    const double next = x - step;
-    if (next > 0.0 && next < 1.0) x = next;
-  }
-  return x;
-}
-
 double log_sum_exp(double a, double b) {
   const double hi = a > b ? a : b;
   const double lo = a > b ? b : a;

@@ -1,10 +1,15 @@
-// Tests for the MOSFET model, netlist construction and the process model.
+// Tests for the MOSFET model (square law and EKV), netlist construction and
+// the process model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "circuit/ac.hpp"
+#include "circuit/dc.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/opamp.hpp"
 #include "circuit/process.hpp"
 #include "common/contracts.hpp"
 #include "stats/rng.hpp"
@@ -173,6 +178,151 @@ TEST(Mosfet, RegionNames) {
   EXPECT_EQ(to_string(MosfetRegion::kSaturation), "saturation");
 }
 
+// --------------------------------------------------------------------- ekv
+
+MosfetModel ekv_model() {
+  MosfetModel m;
+  m.equation = MosfetEquation::kEkv;
+  m.vth0 = 0.4;
+  m.kp = 400e-6;
+  m.lambda = 0.1;
+  m.slope_n = 1.3;
+  return m;
+}
+
+TEST(Ekv, StrongInversionMatchesScaledSquareLaw) {
+  // Deep strong inversion & saturation: Id -> beta/(2n) (vgs - vth)^2 clm.
+  const MosfetModel m = ekv_model();
+  const double vgs = 1.2;  // vov = 0.8 >> n vt
+  const double vds = 1.5;
+  const MosfetOp op = evaluate_mosfet(m, kGeom, {}, vgs, vds, 0.0);
+  const double beta = m.kp * 10.0;
+  const double expected =
+      0.5 * beta / m.slope_n * 0.8 * 0.8 * (1.0 + m.lambda * vds);
+  EXPECT_NEAR(op.id, expected, 0.03 * expected);
+}
+
+TEST(Ekv, SubthresholdSlopeMatchesTheory) {
+  // Weak inversion: Id proportional to exp(vgs/(n vt)); one n*vt*ln(10)
+  // of gate drive changes the current by 10x.
+  const MosfetModel m = ekv_model();
+  // Deep weak inversion (vov ~ -0.25 V, several n*vt below threshold) so
+  // softplus^2 is in its exponential asymptote.
+  const double decade = m.slope_n * m.thermal_v * std::log(10.0);
+  const double i1 = evaluate_mosfet(m, kGeom, {}, 0.15, 0.5, 0.0).id;
+  const double i2 =
+      evaluate_mosfet(m, kGeom, {}, 0.15 + decade, 0.5, 0.0).id;
+  EXPECT_GT(i1, 0.0);  // conducts below threshold (square law would not)
+  EXPECT_NEAR(i2 / i1, 10.0, 0.5);
+}
+
+TEST(Ekv, SquareLawHasNoSubthresholdCurrent) {
+  MosfetModel m = ekv_model();
+  m.equation = MosfetEquation::kSquareLaw;
+  EXPECT_EQ(evaluate_mosfet(m, kGeom, {}, 0.25, 0.5, 0.0).id, 0.0);
+}
+
+TEST(Ekv, CurrentIsSmoothAcrossThreshold) {
+  // Scan vgs through vth: the EKV current and its finite-difference gm must
+  // show no kinks (relative jump bounded), unlike the square law whose gm
+  // jumps at vov = 0.
+  const MosfetModel m = ekv_model();
+  double prev_gm = -1.0;
+  for (double vgs = 0.30; vgs <= 0.50; vgs += 0.005) {
+    const MosfetOp op = evaluate_mosfet(m, kGeom, {}, vgs, 0.8, 0.0);
+    EXPECT_GT(op.id, 0.0);
+    EXPECT_GT(op.a_g, 0.0);
+    if (prev_gm > 0.0) {
+      EXPECT_LT(op.a_g / prev_gm, 1.6);  // smooth growth, no jump
+    }
+    prev_gm = op.a_g;
+  }
+}
+
+TEST(Ekv, DerivativesMatchFiniteDifferences) {
+  const MosfetModel m = ekv_model();
+  const double h = 1e-7;
+  const struct {
+    double vg, vd, vs;
+  } cases[] = {
+      {0.7, 0.9, 0.0},   // strong inversion saturation
+      {0.9, 0.1, 0.0},   // triode
+      {0.35, 0.5, 0.0},  // subthreshold
+      {0.8, 0.0, 0.3},   // reverse
+  };
+  for (const auto& c : cases) {
+    const MosfetOp op = evaluate_mosfet(m, kGeom, {}, c.vg, c.vd, c.vs);
+    const auto id_at = [&](double vg, double vd, double vs) {
+      return evaluate_mosfet(m, kGeom, {}, vg, vd, vs).id;
+    };
+    const double fd_g =
+        (id_at(c.vg + h, c.vd, c.vs) - id_at(c.vg - h, c.vd, c.vs)) / (2 * h);
+    const double fd_d =
+        (id_at(c.vg, c.vd + h, c.vs) - id_at(c.vg, c.vd - h, c.vs)) / (2 * h);
+    const double scale = std::max(1e-9, std::fabs(fd_g));
+    EXPECT_NEAR(op.a_g, fd_g, 1e-5 * scale + 1e-12);
+    EXPECT_NEAR(op.a_d, fd_d, 1e-5 * std::max(1e-9, std::fabs(fd_d)) + 1e-12);
+    EXPECT_NEAR(op.a_s, -(op.a_g + op.a_d), 1e-15);
+  }
+}
+
+TEST(Ekv, ZeroVdsGivesZeroCurrent) {
+  const MosfetOp op = evaluate_mosfet(ekv_model(), kGeom, {}, 0.8, 0.3, 0.3);
+  EXPECT_NEAR(op.id, 0.0, 1e-15);
+}
+
+TEST(Ekv, ReverseOperationAntisymmetric) {
+  const MosfetModel m = ekv_model();
+  const double fwd = evaluate_mosfet(m, kGeom, {}, 0.8, 0.3, 0.0).id;
+  const double rev = evaluate_mosfet(m, kGeom, {}, 0.8, 0.0, 0.3).id;
+  EXPECT_NEAR(fwd, -rev, 1e-12);
+}
+
+TEST(Ekv, DiodeConnectedBiasSolvesWithNewton) {
+  // The smooth equation must work inside the DC solver.
+  Netlist net;
+  const auto vdd = net.node("vdd");
+  const auto d = net.node("d");
+  net.add_voltage_source("VDD", vdd, kGround, 1.1);
+  net.add_resistor("R", vdd, d, 50e3);
+  net.add_mosfet("M1", d, d, kGround, ekv_model(), kGeom, {});
+  const OperatingPoint op = DcSolver().solve(net);
+  const double vgs = op.voltage(d);
+  EXPECT_GT(vgs, 0.3);
+  EXPECT_LT(vgs, 0.7);
+  // KCL: resistor current equals device current.
+  EXPECT_NEAR((1.1 - vgs) / 50e3, op.mosfet_op(0).id, 1e-9);
+}
+
+TEST(NumericsCrossCheck, EkvAndSquareLawAgreeOnStrongInversionGain) {
+  // A resistor-loaded CS stage biased deep in strong inversion: the two
+  // equations should predict gains within ~n (slope factor) bookkeeping.
+  const auto gain_with = [&](MosfetEquation eq, double kp) {
+    Netlist net;
+    const NodeId vdd = net.node("vdd");
+    const NodeId in = net.node("in");
+    const NodeId out = net.node("out");
+    net.add_voltage_source("VDD", vdd, kGround, 2.5);
+    net.add_voltage_source("VIN", in, kGround, 1.2, 1.0);
+    net.add_resistor("RL", vdd, out, 5e3);
+    MosfetModel m;
+    m.equation = eq;
+    m.vth0 = 0.4;
+    m.kp = kp;
+    m.lambda = 0.05;
+    net.add_mosfet("M1", out, in, kGround, m, {4e-6, 0.4e-6}, {});
+    const OperatingPoint op = DcSolver().solve(net);
+    const AcAnalysis ac(net, op);
+    return std::abs(ac.node_response(1e3, out));
+  };
+  // Compensate the EKV's 1/n current scaling by boosting kp by n, so both
+  // devices carry comparable current; the gains should then agree within
+  // ~20% (remaining difference: moderate-inversion softening).
+  const double g_sq = gain_with(MosfetEquation::kSquareLaw, 400e-6);
+  const double g_ekv = gain_with(MosfetEquation::kEkv, 400e-6 * 1.3);
+  EXPECT_NEAR(g_ekv / g_sq, 1.0, 0.2);
+}
+
 // ----------------------------------------------------------------- netlist
 
 TEST(Netlist, NodeCreationAndLookup) {
@@ -288,6 +438,54 @@ TEST(Process, PassiveFactorsCenteredOnGlobal) {
 TEST(Process, NamedTechnologiesDiffer) {
   EXPECT_GT(ProcessModel::cmos180().statistics().avt,
             ProcessModel::cmos45().statistics().avt);
+}
+
+TEST(ProcessCorners, TypicalIsNeutral) {
+  const GlobalVariation g =
+      ProcessModel::cmos45().corner(ProcessCorner::kTypical);
+  EXPECT_EQ(g.dvth_nmos, 0.0);
+  EXPECT_EQ(g.kp_factor_pmos, 1.0);
+  EXPECT_EQ(g.res_factor, 1.0);
+}
+
+TEST(ProcessCorners, FastLowersThresholdRaisesDrive) {
+  const ProcessModel pm = ProcessModel::cmos45();
+  const GlobalVariation ff = pm.corner(ProcessCorner::kFastFast, 3.0);
+  EXPECT_NEAR(ff.dvth_nmos, -3.0 * pm.statistics().sigma_vth_global, 1e-12);
+  EXPECT_GT(ff.kp_factor_nmos, 1.0);
+  const GlobalVariation ss = pm.corner(ProcessCorner::kSlowSlow, 3.0);
+  EXPECT_GT(ss.dvth_nmos, 0.0);
+  EXPECT_LT(ss.kp_factor_pmos, 1.0);
+}
+
+TEST(ProcessCorners, SkewCornersSplitPolarities) {
+  const GlobalVariation fs =
+      ProcessModel::cmos45().corner(ProcessCorner::kFastSlow, 3.0);
+  EXPECT_LT(fs.dvth_nmos, 0.0);  // NMOS fast
+  EXPECT_GT(fs.dvth_pmos, 0.0);  // PMOS slow
+}
+
+TEST(ProcessCorners, CornersBracketOpAmpPower) {
+  // FF must burn more power than TT, SS less (drive strength ordering).
+  const OpAmpDesign design;
+  const ProcessModel pm = ProcessModel::cmos45();
+  const TwoStageOpAmp amp(DesignStage::kSchematic, pm, design);
+  const auto metrics_at = [&](ProcessCorner c) {
+    TwoStageOpAmp::DieVariations v;
+    const GlobalVariation g = pm.corner(c, 3.0);
+    for (int i = 0; i < 8; ++i) {
+      const bool is_nmos = i != 2 && i != 3 && i != 5;
+      v.devices[i].dvth = is_nmos ? g.dvth_nmos : g.dvth_pmos;
+      v.devices[i].kp_factor =
+          is_nmos ? g.kp_factor_nmos : g.kp_factor_pmos;
+    }
+    return amp.measure(v);
+  };
+  const double p_tt = metrics_at(ProcessCorner::kTypical)[2];
+  const double p_ff = metrics_at(ProcessCorner::kFastFast)[2];
+  const double p_ss = metrics_at(ProcessCorner::kSlowSlow)[2];
+  EXPECT_GT(p_ff, p_tt);
+  EXPECT_LT(p_ss, p_tt);
 }
 
 }  // namespace

@@ -397,5 +397,119 @@ TEST(Yield, DimensionChecks) {
   EXPECT_THROW((void)empirical_yield(Matrix(2, 2), box), ContractError);
 }
 
+TEST(WilsonInterval, BracketsTheEstimateAndStaysInBounds) {
+  YieldEstimate est;
+  est.yield = 0.95;
+  est.sample_count = 100;
+  const YieldEstimate::Interval iv = est.wilson_interval(0.95);
+  EXPECT_LT(iv.lower, 0.95);
+  EXPECT_GT(iv.upper, 0.95);
+  EXPECT_GE(iv.lower, 0.0);
+  EXPECT_LE(iv.upper, 1.0);
+}
+
+TEST(WilsonInterval, SensibleAtExtremeYield) {
+  // 0 failures in 100: the Wald interval collapses to [1, 1]; Wilson
+  // reports the "rule of three"-like upper-lower gap.
+  YieldEstimate est;
+  est.yield = 1.0;
+  est.sample_count = 100;
+  const YieldEstimate::Interval iv = est.wilson_interval(0.95);
+  EXPECT_EQ(iv.upper, 1.0);
+  EXPECT_LT(iv.lower, 1.0);
+  EXPECT_GT(iv.lower, 0.9);  // ~0.963 for n = 100
+}
+
+TEST(WilsonInterval, NarrowsWithSampleCount) {
+  YieldEstimate small;
+  small.yield = 0.8;
+  small.sample_count = 50;
+  YieldEstimate big = small;
+  big.sample_count = 5000;
+  const auto iv_small = small.wilson_interval();
+  const auto iv_big = big.wilson_interval();
+  EXPECT_LT(iv_big.upper - iv_big.lower, iv_small.upper - iv_small.lower);
+}
+
+TEST(WilsonInterval, Validation) {
+  YieldEstimate est;
+  est.yield = 0.5;
+  est.sample_count = 0;
+  EXPECT_THROW((void)est.wilson_interval(), ContractError);
+  est.sample_count = 10;
+  EXPECT_THROW((void)est.wilson_interval(0.0), ContractError);
+}
+
+// ------------------------------------------------- importance sampling
+
+GaussianMoments standard_2d() {
+  GaussianMoments m;
+  m.mean = Vector{0.0, 0.0};
+  m.covariance = Matrix::identity(2);
+  return m;
+}
+
+TEST(ImportanceSampling, MatchesPhiForOneSidedSpec) {
+  // Failure: x0 > 4 => p_fail = 1 - Phi(4) = 3.167e-5. Plain MC with 2e4
+  // samples would see ~0.6 failures; IS nails it.
+  const double inf = std::numeric_limits<double>::infinity();
+  SpecBox box{Vector{-inf, -inf}, Vector{4.0, inf}};
+  stats::Xoshiro256pp rng(1);
+  const ImportanceSamplingResult r =
+      estimate_yield_importance(standard_2d(), box, rng, 20000);
+  const double exact = 1.0 - stats::standard_normal_cdf(4.0);
+  EXPECT_NEAR(r.failure_probability, exact, 0.1 * exact);
+  EXPECT_LT(r.standard_error, 0.05 * exact);
+  EXPECT_NEAR(r.shift_point[0], 4.0, 1e-12);
+  EXPECT_NEAR(r.shift_point[1], 0.0, 1e-12);
+}
+
+TEST(ImportanceSampling, SixSigmaEventIsEstimable) {
+  // p_fail = 1 - Phi(6) ~ 9.9e-10: utterly invisible to plain MC.
+  const double inf = std::numeric_limits<double>::infinity();
+  SpecBox box{Vector{-inf}, Vector{6.0}};
+  GaussianMoments m;
+  m.mean = Vector{0.0};
+  m.covariance = Matrix{{1.0}};
+  stats::Xoshiro256pp rng(2);
+  const ImportanceSamplingResult r =
+      estimate_yield_importance(m, box, rng, 50000);
+  const double exact = 1.0 - stats::standard_normal_cdf(6.0);
+  EXPECT_NEAR(r.failure_probability, exact, 0.15 * exact);
+}
+
+TEST(ImportanceSampling, ShiftFollowsCorrelation) {
+  // Correlated metrics: the shift point moves *both* coordinates along the
+  // conditional-mean line, not just the constrained one.
+  GaussianMoments m;
+  m.mean = Vector{0.0, 0.0};
+  m.covariance = Matrix{{1.0, 0.8}, {0.8, 1.0}};
+  const double inf = std::numeric_limits<double>::infinity();
+  SpecBox box{Vector{-inf, -inf}, Vector{3.0, inf}};
+  stats::Xoshiro256pp rng(3);
+  const ImportanceSamplingResult r =
+      estimate_yield_importance(m, box, rng, 5000);
+  EXPECT_NEAR(r.shift_point[0], 3.0, 1e-12);
+  EXPECT_NEAR(r.shift_point[1], 2.4, 1e-12);  // rho * 3
+}
+
+TEST(ImportanceSampling, AgreesWithPlainMcAtModerateYield) {
+  // Failure probability ~ 8%: both estimators should agree.
+  const double inf = std::numeric_limits<double>::infinity();
+  SpecBox box{Vector{-inf, -inf}, Vector{1.4, inf}};
+  stats::Xoshiro256pp rng(4);
+  const ImportanceSamplingResult is =
+      estimate_yield_importance(standard_2d(), box, rng, 40000);
+  const YieldEstimate mc = estimate_yield(standard_2d(), box, rng, 200000);
+  EXPECT_NEAR(is.yield, mc.yield, 0.01);
+}
+
+TEST(ImportanceSampling, RequiresAFiniteSpec) {
+  stats::Xoshiro256pp rng(5);
+  EXPECT_THROW((void)estimate_yield_importance(
+                   standard_2d(), SpecBox::unconstrained(2), rng, 100),
+               ContractError);
+}
+
 }  // namespace
 }  // namespace bmfusion::core

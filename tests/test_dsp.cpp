@@ -1,13 +1,19 @@
-// Tests for the dsp substrate: FFT, windows, single-tone spectral analysis.
+// Tests for the dsp substrate: FFT, windows, single-tone spectral analysis,
+// and INL/DNL extraction (closed-form cases, the ideal converter, and the
+// cross-check between the histogram *measurement* and the threshold *truth*
+// on a simulated flash-ADC die).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
 
+#include "circuit/flash_adc.hpp"
 #include "common/contracts.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/linearity.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/window.hpp"
 #include "stats/rng.hpp"
@@ -435,6 +441,145 @@ TEST_P(SpectrumAmplitudeSweep, SignalPowerTracksAmplitude) {
 
 INSTANTIATE_TEST_SUITE_P(Amplitudes, SpectrumAmplitudeSweep,
                          ::testing::Values(0.1, 0.5, 1.0, 2.0, 10.0));
+
+// -------------------------------------------------------------- linearity
+
+std::vector<double> uniform_thresholds(std::size_t count, double lo,
+                                       double hi) {
+  std::vector<double> taps(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    taps[i] = lo + (hi - lo) * static_cast<double>(i + 1) /
+                       static_cast<double>(count + 1);
+  }
+  return taps;
+}
+
+TEST(Linearity, IdealThresholdsAreZeroDnlInl) {
+  const LinearityResult r =
+      linearity_from_thresholds(uniform_thresholds(63, 0.2, 1.6));
+  EXPECT_NEAR(r.max_abs_dnl, 0.0, 1e-9);
+  EXPECT_NEAR(r.max_abs_inl, 0.0, 1e-9);
+  EXPECT_EQ(r.dnl.size(), 62u);
+  EXPECT_EQ(r.inl.size(), 63u);
+}
+
+TEST(Linearity, SingleWideBinShowsInDnl) {
+  // Shift one threshold by +0.5 LSB: the bin below widens (+0.5 DNL) and
+  // the bin above narrows (-0.5 DNL).
+  std::vector<double> taps = uniform_thresholds(15, 0.0, 1.6);
+  const double lsb = taps[1] - taps[0];
+  taps[7] += 0.5 * lsb;
+  const LinearityResult r = linearity_from_thresholds(taps);
+  EXPECT_NEAR(r.dnl[6], 0.5, 0.02);
+  EXPECT_NEAR(r.dnl[7], -0.5, 0.02);
+  EXPECT_NEAR(r.max_abs_inl, 0.5, 0.05);
+}
+
+TEST(Linearity, BowedThresholdsShowInInlNotDnl) {
+  // A smooth quadratic bow: INL large, per-step DNL small.
+  std::vector<double> taps = uniform_thresholds(63, 0.0, 1.0);
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    const double x = static_cast<double>(i) / 62.0;
+    taps[i] += 0.02 * x * (1.0 - x);  // peak bow 5 mLSB*... in volts
+  }
+  const LinearityResult r = linearity_from_thresholds(taps);
+  EXPECT_GT(r.max_abs_inl, 4.0 * r.max_abs_dnl);
+}
+
+TEST(Linearity, ValidatesInput) {
+  EXPECT_THROW((void)linearity_from_thresholds({1.0, 2.0}), ContractError);
+  EXPECT_THROW((void)linearity_from_thresholds({1.0, 0.5, 2.0}),
+               ContractError);
+  EXPECT_THROW(
+      (void)sine_histogram_linearity(std::vector<int>(10, 0), 8),
+      ContractError);
+}
+
+TEST(Linearity, HistogramTestRecoversIdealConverter) {
+  // Ideal mid-rise quantizer measured with an overdriven sine. Random
+  // phases make the arcsine amplitude distribution exact (a coherent ramp
+  // would add phase-equidistribution artifacts to the *stimulus*).
+  const std::size_t code_count = 64;
+  const std::vector<double> taps = uniform_thresholds(63, -1.0, 1.0);
+  std::vector<int> codes;
+  stats::Xoshiro256pp rng(42);
+  // INL from a histogram test carries random-walk noise of roughly
+  // A*pi*sqrt(0.25/n)/lsb LSB (~0.04 LSB at n = 2e6); the tolerances
+  // reflect that statistical floor, not algorithmic error.
+  const std::size_t n = 2000000;
+  for (std::size_t t = 0; t < n; ++t) {
+    const double x =
+        1.1 * std::sin(rng.next_uniform(0.0, 2.0 * 3.14159265358979));
+    int code = 0;
+    while (code < 63 && x > taps[static_cast<std::size_t>(code)]) ++code;
+    codes.push_back(code);
+  }
+  const LinearityResult r = sine_histogram_linearity(codes, code_count);
+  EXPECT_LT(r.max_abs_dnl, 0.05);
+  EXPECT_LT(r.max_abs_inl, 0.15);
+}
+
+TEST(Linearity, HistogramMeasurementMatchesThresholdTruthOnFlashAdc) {
+  // One mismatched flash-ADC die: the code-density *measurement* must
+  // reproduce the INL/DNL computed directly from its decision thresholds.
+  using namespace bmfusion::circuit;
+  const FlashAdc adc(DesignStage::kSchematic, ProcessModel::cmos180());
+  stats::Xoshiro256pp rng(7);
+  const FlashAdc::DieVariations die = adc.sample_variations(rng);
+
+  // Truth from the thresholds (ladder taps + offsets).
+  const LinearityResult truth =
+      linearity_from_thresholds([&] {
+        std::vector<double> taps = adc.thresholds(die);
+        std::sort(taps.begin(), taps.end());
+        return taps;
+      }());
+
+  // Measurement: long noise-free overdriven capture.
+  const std::vector<int> codes =
+      adc.capture_codes(die, 400000, 1.05, nullptr);
+  const LinearityResult measured = sine_histogram_linearity(codes, 64);
+
+  ASSERT_EQ(measured.inl.size(), truth.inl.size());
+  EXPECT_NEAR(measured.max_abs_dnl, truth.max_abs_dnl,
+              0.25 * (truth.max_abs_dnl + 0.05));
+  // Per-code INL agreement within a tenth of an LSB plus the buffer-HD3
+  // bow the measurement sees through the nonlinear front end.
+  double max_gap = 0.0;
+  for (std::size_t k = 0; k < truth.inl.size(); ++k) {
+    max_gap = std::max(max_gap, std::fabs(measured.inl[k] - truth.inl[k]));
+  }
+  EXPECT_LT(max_gap, 0.45);
+}
+
+TEST(Linearity, FlashAdcDnlGrowsWithComparatorOffsets) {
+  // Note the comparison runs between a large-comparator (low-offset)
+  // design and the default: once offsets exceed ~1 LSB the sorted-
+  // threshold DNL saturates to the Gaussian order-statistics shape, so
+  // "default vs even sloppier" would show nothing.
+  using namespace bmfusion::circuit;
+  FlashAdcDesign good_design;
+  good_design.comparator_pair = {8e-6, 2e-6};  // large -> small offsets
+  const FlashAdc good(DesignStage::kSchematic, ProcessModel::cmos180(),
+                      good_design);
+  const FlashAdc sloppy(DesignStage::kSchematic, ProcessModel::cmos180());
+  double good_dnl = 0.0;
+  double sloppy_dnl = 0.0;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    stats::Xoshiro256pp rng(100 + seed);
+    stats::Xoshiro256pp rng2(100 + seed);
+    const auto taps_of = [](const FlashAdc& adc,
+                            stats::Xoshiro256pp& r) {
+      std::vector<double> taps = adc.thresholds(adc.sample_variations(r));
+      std::sort(taps.begin(), taps.end());
+      return taps;
+    };
+    good_dnl += linearity_from_thresholds(taps_of(good, rng)).max_abs_dnl;
+    sloppy_dnl +=
+        linearity_from_thresholds(taps_of(sloppy, rng2)).max_abs_dnl;
+  }
+  EXPECT_GT(sloppy_dnl, 2.0 * good_dnl);
+}
 
 }  // namespace
 }  // namespace bmfusion::dsp

@@ -352,6 +352,30 @@ TEST(MomentEstimatorApi, BmfAdapterMatchesEstimateScaled) {
   EXPECT_EQ(bmf.name(), "bmf");
 }
 
+TEST(MomentEstimatorApi, BmfBatchHonorsEvidenceSelection) {
+  // estimate() selects by config().selection, as snapshot() does, so one
+  // estimator gives one answer on the same data.
+  const GaussianMoments truth = toy_moments(3);
+  const Matrix late = draws(truth, 16, 1);
+  BmfEstimator bmf(EarlyStageKnowledge{truth, truth.mean},
+                   BmfConfig{}.with_shift_scale(false).with_selection(
+                       HyperSelection::kEvidence));
+  const EstimateResult batch = bmf.estimate(late);
+  const CrossValidationResult evidence =
+      select_hyperparameters_evidence(truth, late, bmf.config().cv);
+  EXPECT_EQ(batch.kappa0, evidence.kappa0);
+  EXPECT_EQ(batch.nu0, evidence.nu0);
+  EXPECT_EQ(batch.score, evidence.score);
+  const CrossValidationResult cv =
+      select_hyperparameters(truth, late, bmf.config().cv);
+  EXPECT_FALSE(batch.kappa0 == cv.kappa0 && batch.nu0 == cv.nu0);
+
+  bmf.observe(late);
+  const EstimateResult streamed = bmf.snapshot();
+  EXPECT_EQ(streamed.kappa0, batch.kappa0);
+  EXPECT_EQ(streamed.nu0, batch.nu0);
+}
+
 TEST(MomentEstimatorApi, ShiftScaleRequiresNominal) {
   const GaussianMoments truth = toy_moments();
   const BmfEstimator bmf(EarlyStageKnowledge{truth, truth.mean});

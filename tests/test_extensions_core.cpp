@@ -1,16 +1,14 @@
-// Tests for the core extensions: evidence-based hyper-parameter selection,
-// BMF-BD (Bernoulli yield fusion), and streaming sequential fusion.
+// Tests for the core extensions: evidence-based hyper-parameter selection
+// and the streaming conjugate posterior.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "core/bernoulli_bmf.hpp"
 #include "core/bmf_estimator.hpp"
 #include "core/cross_validation.hpp"
 #include "core/mle.hpp"
 #include "core/normal_wishart.hpp"
-#include "core/sequential.hpp"
 #include "stats/mvn.hpp"
 #include "stats/rng.hpp"
 #include "stats/univariate.hpp"
@@ -133,85 +131,10 @@ TEST(Evidence, AgreesWithCvOnEstimationQuality) {
   EXPECT_LT(cv_err, 2.0 * ev_err);
 }
 
-// ---------------------------------------------------------------- bmf-bd
-
-TEST(BernoulliBmf, PriorModeMatchesEarlyYield) {
-  const BetaPosterior prior = beta_prior_from_early_yield(0.8, 50.0);
-  EXPECT_NEAR(prior.map_estimate(), 0.8, 1e-12);
-  EXPECT_NEAR(prior.alpha + prior.beta, 50.0, 1e-12);
-}
-
-TEST(BernoulliBmf, UpdateAddsCounts) {
-  const BetaPosterior prior{2.0, 3.0};
-  const BetaPosterior post = update_beta(prior, 7, 10);
-  EXPECT_DOUBLE_EQ(post.alpha, 9.0);
-  EXPECT_DOUBLE_EQ(post.beta, 6.0);
-}
-
-TEST(BernoulliBmf, EvidenceMatchesDirectEnumeration) {
-  // For Beta(1,1) prior (uniform), p(D) with k passes of n is
-  // B(1+k, 1+n-k) = k!(n-k)!/(n+1)! for the *specific sequence*.
-  const BetaPosterior uniform{1.0, 1.0};
-  const double log_e = beta_bernoulli_log_evidence(uniform, 2, 3);
-  EXPECT_NEAR(log_e, std::log(2.0 * 1.0 / 24.0), 1e-12);
-}
-
-TEST(BernoulliBmf, CredibleIntervalCoversMap) {
-  const BetaPosterior post{20.0, 5.0};
-  const BetaPosterior::Interval iv = post.credible_interval(0.95);
-  EXPECT_LT(iv.lower, post.map_estimate());
-  EXPECT_GT(iv.upper, post.map_estimate());
-  EXPECT_GT(iv.lower, 0.5);
-}
-
-TEST(BernoulliBmf, AccuratePriorDominatesWithFewSamples) {
-  // Early yield exactly right; 10 late trials with 8 passes. Fused estimate
-  // should stay near the early yield, not jump to the noisy 0.8.
-  const BernoulliBmfResult r = estimate_bernoulli_bmf(0.9, 8, 10);
-  EXPECT_GT(r.concentration, 20.0);
-  EXPECT_GT(r.yield, 0.82);
-}
-
-TEST(BernoulliBmf, ContradictedPriorGetsLowConcentration) {
-  // Early claims 95% but 40 of 80 late dies fail: evidence must pick a weak
-  // prior and let the data dominate.
-  const BernoulliBmfResult r = estimate_bernoulli_bmf(0.95, 40, 80);
-  EXPECT_LT(r.concentration, 30.0);
-  EXPECT_NEAR(r.yield, 0.5, 0.1);
-}
-
-TEST(BernoulliBmf, StatisticalAccuracyBeatsRawFraction) {
-  // Monte Carlo: true yield 0.85, perfect early knowledge, 12 trials.
-  stats::Xoshiro256pp rng(11);
-  double bmf_sq = 0.0, raw_sq = 0.0;
-  constexpr int kReps = 300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::size_t passes = 0;
-    for (int i = 0; i < 12; ++i) {
-      if (rng.next_double() < 0.85) ++passes;
-    }
-    const double raw = static_cast<double>(passes) / 12.0;
-    const double fused = estimate_bernoulli_bmf(0.85, passes, 12).yield;
-    bmf_sq += (fused - 0.85) * (fused - 0.85);
-    raw_sq += (raw - 0.85) * (raw - 0.85);
-  }
-  EXPECT_LT(bmf_sq, 0.5 * raw_sq);
-}
-
-TEST(BernoulliBmf, InputValidation) {
-  EXPECT_THROW((void)beta_prior_from_early_yield(0.0, 10.0), ContractError);
-  EXPECT_THROW((void)beta_prior_from_early_yield(0.5, 2.0), ContractError);
-  EXPECT_THROW((void)update_beta(BetaPosterior{}, 5, 3), ContractError);
-  EXPECT_THROW((void)estimate_bernoulli_bmf(0.9, 0, 0), ContractError);
-  EXPECT_THROW((void)BetaPosterior({1.0, 1.0}).map_estimate(),
-               ContractError);
-}
-
 // ------------------------------------------------------ streaming posterior
-// (migrated from the deprecated SequentialFusion: the raw conjugate-update
-// idiom it wrapped is NormalWishart::posterior(SufficientStats), one O(d^3)
-// update per batch; live estimator monitoring is the MomentEstimator
-// observe/snapshot surface, covered in test_streaming.cpp)
+// The conjugate update is NormalWishart::posterior(SufficientStats), one
+// O(d^3) update per batch; live estimator monitoring is the MomentEstimator
+// observe/snapshot surface, covered in test_streaming.cpp.
 
 TEST(StreamingPosterior, IncrementalUpdatesMatchBatchPosterior) {
   const GaussianMoments early = toy_moments();
@@ -260,41 +183,6 @@ TEST(StreamingPosterior, PredictiveScoresOutliers) {
                                              outlier) +
                 5.0);
 }
-
-// The deprecated shim survives one cycle for out-of-tree callers; keep it
-// behaving until removal.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST(SequentialFusionShim, DeprecatedAliasStillWorks) {
-  const GaussianMoments early = toy_moments();
-  const NormalWishart prior = NormalWishart::from_early_stage(early, 3.0,
-                                                              12.0);
-  SequentialFusion streaming(prior);
-  // Zero observations: the prior mode.
-  EXPECT_TRUE(
-      approx_equal(streaming.current_estimate().mean, early.mean, 1e-12));
-  // Both observe overloads still accumulate the batch posterior.
-  const Matrix samples = draws(early, 15, 5);
-  streaming.observe(samples.row(0));
-  Matrix rest(samples.rows() - 1, samples.cols());
-  for (std::size_t i = 1; i < samples.rows(); ++i) {
-    rest.set_row(i - 1, samples.row(i));
-  }
-  streaming.observe(rest);
-  EXPECT_EQ(streaming.observed_count(), 15u);
-  const NormalWishart batch = prior.posterior(samples);
-  EXPECT_NEAR(streaming.posterior().kappa0(), batch.kappa0(), 1e-10);
-  EXPECT_TRUE(approx_equal(streaming.current_estimate().covariance,
-                           batch.map_estimate().covariance, 1e-7));
-  // Contract checks survive the deprecation.
-  EXPECT_THROW(streaming.observe(Vector(3)), ContractError);
-  EXPECT_NO_THROW(streaming.observe(Matrix(0, 2)));
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace bmfusion::core

@@ -1,5 +1,5 @@
-// Tests for the extension math: SVD, beta special functions, multivariate
-// Student-t sampling, KS test, higher-order moments and Cornish-Fisher.
+// Tests for the extension math: SVD, the log-beta function, higher-order
+// moments and Cornish-Fisher.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,11 +8,8 @@
 #include "core/higher_moments.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/svd.hpp"
-#include "stats/moments.hpp"
-#include "stats/mvn.hpp"
 #include "stats/rng.hpp"
 #include "stats/special.hpp"
-#include "stats/student_t.hpp"
 #include "stats/univariate.hpp"
 
 namespace bmfusion {
@@ -111,111 +108,8 @@ TEST(BetaFunctions, LogBetaMatchesGammaIdentity) {
   EXPECT_NEAR(stats::log_beta(0.5, 0.5), std::log(3.14159265358979), 1e-10);
 }
 
-TEST(BetaFunctions, IncompleteBetaEndpointsAndSymmetry) {
-  EXPECT_EQ(stats::regularized_incomplete_beta(2.0, 3.0, 0.0), 0.0);
-  EXPECT_EQ(stats::regularized_incomplete_beta(2.0, 3.0, 1.0), 1.0);
-  // I_x(a,b) = 1 - I_{1-x}(b,a).
-  const double x = 0.37;
-  EXPECT_NEAR(stats::regularized_incomplete_beta(2.5, 4.0, x),
-              1.0 - stats::regularized_incomplete_beta(4.0, 2.5, 1.0 - x),
-              1e-13);
-}
-
-TEST(BetaFunctions, UniformSpecialCase) {
-  // Beta(1,1) is uniform: CDF(x) = x.
-  for (const double x : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(stats::regularized_incomplete_beta(1.0, 1.0, x), x, 1e-13);
-  }
-}
-
-TEST(BetaFunctions, KnownValueBeta22) {
-  // Beta(2,2): CDF(x) = 3x^2 - 2x^3.
-  const double x = 0.3;
-  EXPECT_NEAR(stats::regularized_incomplete_beta(2.0, 2.0, x),
-              3 * x * x - 2 * x * x * x, 1e-13);
-}
-
-TEST(BetaFunctions, QuantileInvertsCdf) {
-  for (const double p : {0.01, 0.2, 0.5, 0.8, 0.99}) {
-    const double x = stats::beta_quantile(3.0, 5.0, p);
-    EXPECT_NEAR(stats::regularized_incomplete_beta(3.0, 5.0, x), p, 1e-10);
-  }
-}
-
 TEST(BetaFunctions, DomainChecks) {
   EXPECT_THROW((void)stats::log_beta(0.0, 1.0), ContractError);
-  EXPECT_THROW((void)stats::regularized_incomplete_beta(1.0, 1.0, 1.5),
-               ContractError);
-  EXPECT_THROW((void)stats::beta_quantile(1.0, 1.0, 0.0), ContractError);
-}
-
-// --------------------------------------------------------------- student-t
-
-TEST(StudentT, LogPdfMatchesGaussianForLargeDof) {
-  const stats::MultivariateStudentT t(1e7, Vector{0.5, -0.5},
-                                      Matrix::identity(2));
-  const stats::MultivariateNormal g(Vector{0.5, -0.5}, Matrix::identity(2));
-  const Vector x{1.0, 0.0};
-  EXPECT_NEAR(t.log_pdf(x), g.log_pdf(x), 1e-5);
-}
-
-TEST(StudentT, SampleMomentsMatchTheory) {
-  const double dof = 7.0;
-  const Matrix scale{{1.0, 0.3}, {0.3, 0.5}};
-  const stats::MultivariateStudentT t(dof, Vector{1.0, 2.0}, scale);
-  stats::Xoshiro256pp rng(5);
-  Matrix samples(60000, 2);
-  for (std::size_t i = 0; i < samples.rows(); ++i) {
-    samples.set_row(i, t.sample(rng));
-  }
-  EXPECT_TRUE(approx_equal(stats::sample_mean(samples), Vector{1.0, 2.0},
-                           0.03));
-  // Covariance = scale * dof/(dof-2).
-  EXPECT_TRUE(approx_equal(stats::sample_covariance_mle(samples),
-                           t.covariance(), 0.1));
-}
-
-TEST(StudentT, HeavierTailsThanGaussian) {
-  const stats::MultivariateStudentT t(3.0, Vector(1), Matrix::identity(1));
-  const stats::MultivariateNormal g(Vector(1), Matrix::identity(1));
-  EXPECT_GT(t.log_pdf(Vector{6.0}), g.log_pdf(Vector{6.0}));
-}
-
-TEST(StudentT, DomainChecks) {
-  EXPECT_THROW(
-      stats::MultivariateStudentT(0.0, Vector(2), Matrix::identity(2)),
-      ContractError);
-  const stats::MultivariateStudentT t(2.0, Vector(2), Matrix::identity(2));
-  EXPECT_THROW((void)t.covariance(), ContractError);  // needs dof > 2
-}
-
-// ---------------------------------------------------------------------- ks
-
-TEST(KsTest, IdenticalSamplesHaveZeroStatistic) {
-  const std::vector<double> a{1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(stats::ks_statistic(a, a), 0.0);
-}
-
-TEST(KsTest, DisjointSamplesHaveStatisticOne) {
-  EXPECT_NEAR(stats::ks_statistic({1.0, 2.0}, {10.0, 11.0}), 1.0, 1e-12);
-}
-
-TEST(KsTest, SameDistributionGivesLargePValue) {
-  stats::Xoshiro256pp rng(6);
-  std::vector<double> a(400), b(400);
-  for (double& v : a) v = stats::sample_standard_normal(rng);
-  for (double& v : b) v = stats::sample_standard_normal(rng);
-  const double d = stats::ks_statistic(a, b);
-  EXPECT_GT(stats::ks_p_value(d, a.size(), b.size()), 0.01);
-}
-
-TEST(KsTest, ShiftedDistributionGivesTinyPValue) {
-  stats::Xoshiro256pp rng(7);
-  std::vector<double> a(400), b(400);
-  for (double& v : a) v = stats::sample_standard_normal(rng);
-  for (double& v : b) v = stats::sample_standard_normal(rng) + 1.0;
-  const double d = stats::ks_statistic(a, b);
-  EXPECT_LT(stats::ks_p_value(d, a.size(), b.size()), 1e-6);
 }
 
 // ----------------------------------------------------------- higher moments

@@ -277,6 +277,26 @@ TEST(NormalWishart, PosteriorInputValidation) {
                ContractError);
 }
 
+TEST(MarginalMean, ShrinksWithKappaAndMatchesSampling) {
+  GaussianMoments early;
+  early.mean = Vector{1.0, -1.0};
+  early.covariance = Matrix{{1.0, 0.2}, {0.2, 0.5}};
+  const NormalWishart nw = NormalWishart::from_early_stage(early, 8.0, 20.0);
+  const NormalWishart::StudentT marg = nw.marginal_mean();
+  EXPECT_NEAR(marg.dof, 20.0 - 2.0 + 1.0, 1e-12);
+  EXPECT_TRUE(approx_equal(marg.location, early.mean, 1e-12));
+
+  // Monte-Carlo check: the covariance of mu draws from the joint matches
+  // the marginal-t covariance scale * dof/(dof-2).
+  stats::Xoshiro256pp rng(12);
+  stats::MomentAccumulator acc(2);
+  for (int i = 0; i < 40000; ++i) {
+    acc.add(nw.sample(rng).first);
+  }
+  EXPECT_TRUE(approx_equal(acc.covariance_mle(),
+                           marg.scale * (marg.dof / (marg.dof - 2.0)), 0.01));
+}
+
 class NormalWishartConsistency
     : public ::testing::TestWithParam<std::size_t> {};
 

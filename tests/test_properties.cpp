@@ -5,8 +5,6 @@
 #include <cmath>
 #include <tuple>
 
-#include "circuit/dc.hpp"
-#include "circuit/spice.hpp"
 #include "common/contracts.hpp"
 #include "core/bmf_estimator.hpp"
 #include "core/mle.hpp"
@@ -178,51 +176,6 @@ TEST_P(FftSizeSweep, RoundTripAndParseval) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizeSweep,
                          ::testing::Values(2, 4, 16, 128, 1024, 8192));
-
-// ------------------------------------------------- spice round-trip sweep
-
-class SpiceRoundTripSweep : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(SpiceRoundTripSweep, RandomRcNetworkSurvivesRoundTrip) {
-  // Random connected RC network with a source: write -> parse -> same DC
-  // solution at every node.
-  stats::Xoshiro256pp rng(GetParam());
-  circuit::Netlist net;
-  const std::size_t n_nodes = 3 + static_cast<std::size_t>(rng.next_below(6));
-  std::vector<circuit::NodeId> nodes;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    nodes.push_back(net.node("n" + std::to_string(i)));
-  }
-  net.add_voltage_source("V0", nodes[0], circuit::kGround,
-                         rng.next_uniform(0.5, 2.0));
-  // Spanning chain keeps everything connected; extra random edges.
-  for (std::size_t i = 1; i < n_nodes; ++i) {
-    net.add_resistor("Rc" + std::to_string(i), nodes[i - 1], nodes[i],
-                     rng.next_uniform(100.0, 10e3));
-  }
-  for (int k = 0; k < 4; ++k) {
-    const auto a = static_cast<std::size_t>(rng.next_below(n_nodes));
-    const auto b = static_cast<std::size_t>(rng.next_below(n_nodes));
-    if (a == b) continue;
-    net.add_resistor("Rx" + std::to_string(k), nodes[a], nodes[b],
-                     rng.next_uniform(1e3, 100e3));
-  }
-  net.add_capacitor("C0", nodes[n_nodes - 1], circuit::kGround,
-                    rng.next_uniform(1e-13, 1e-11));
-
-  const circuit::Netlist back =
-      circuit::parse_spice_string(circuit::to_spice_string(net, "prop"));
-  const circuit::OperatingPoint op1 = circuit::DcSolver().solve(net);
-  const circuit::OperatingPoint op2 = circuit::DcSolver().solve(back);
-  for (circuit::NodeId id = 1; id <= net.node_count(); ++id) {
-    EXPECT_NEAR(op1.voltage(id),
-                op2.voltage(back.find_node(net.node_name(id))), 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpiceRoundTripSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // ------------------------------------------------------- estimator sweeps
 
