@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
         cfg.repetitions = std::max<std::size_t>(3, cfg.repetitions / 4);
         cfg.cv = core::CrossValidationConfig{}
                      .with_folds(folds)
-                     .with_grid(grid, grid)
-                     .with_threads(cfg.threads);
+                     .with_grid(grid, grid);
         Stopwatch sw;
         const core::ExperimentResult res = experiment.run(cfg);
         const double seconds = sw.seconds();

@@ -3,10 +3,11 @@
 // Embeds a copy of the original CV engine — the one that re-materialized
 // train/test matrices per fold and ran the full posterior -> MAP -> mvn
 // scoring pipeline at every grid point — and races it against the
-// sufficient-statistic engine in core/cross_validation at the paper's
-// default setting (12x12 grid, Q = 4, d = 4, n <= 100). Also reports the
-// worst per-grid-point score deviation so the speedup is backed by a parity
-// check.
+// closed-form engine in core/cross_validation (the whole grid scored from
+// one whitened spectrum per fold, the points that can win re-scored
+// exactly) at the paper's default setting (12x12 grid, Q = 4, d = 4,
+// n <= 100). Also reports the worst per-grid-point score deviation so the
+// speedup is backed by a parity check.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -155,7 +156,7 @@ double time_best_ms(F&& run, std::size_t iterations) {
 
 int main(int argc, char** argv) {
   bmfusion::CliParser cli(
-      "Times the sufficient-statistic CV engine against the original "
+      "Times the closed-form CV engine against the original "
       "materialize-per-fold implementation and checks grid parity.");
   cli.add_flag("d", "4", "metric dimension");
   cli.add_flag("n", "100", "late-stage sample count");
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(cli.get_int("n"));
     const auto iters = static_cast<std::size_t>(cli.get_int("iters"));
     const auto grid_points = static_cast<std::size_t>(cli.get_int("grid"));
-    CrossValidationConfig config =
+    const CrossValidationConfig config =
         CrossValidationConfig{}
             .with_folds(static_cast<std::size_t>(cli.get_int("folds")))
             .with_grid(grid_points, grid_points);
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
     const std::vector<GridScore> ref =
         reference_grid(problem.early, problem.late, config);
     const CrossValidationResult fast = bmfusion::core::select_hyperparameters(
-        problem.early, problem.late, config.with_threads(1));
+        problem.early, problem.late, config);
     double max_dev = 0.0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       max_dev = std::max(max_dev,
@@ -197,16 +198,10 @@ int main(int argc, char** argv) {
     const double old_ms = time_best_ms(
         [&] { (void)reference_grid(problem.early, problem.late, config); },
         iters);
-    const double new_1t_ms = time_best_ms(
+    const double new_ms = time_best_ms(
         [&] {
           (void)bmfusion::core::select_hyperparameters(
-              problem.early, problem.late, config.with_threads(1));
-        },
-        iters);
-    const double new_mt_ms = time_best_ms(
-        [&] {
-          (void)bmfusion::core::select_hyperparameters(
-              problem.early, problem.late, config.with_threads(0));
+              problem.early, problem.late, config);
         },
         iters);
 
@@ -215,12 +210,8 @@ int main(int argc, char** argv) {
                 iters);
     std::printf("  %-34s %10.3f ms\n", "original engine (materialized folds)",
                 old_ms);
-    std::printf("  %-34s %10.3f ms\n", "sufficient-stat engine, 1 thread",
-                new_1t_ms);
-    std::printf("  %-34s %10.3f ms\n", "sufficient-stat engine, pool",
-                new_mt_ms);
-    std::printf("  speedup (1 thread)   %.2fx\n", old_ms / new_1t_ms);
-    std::printf("  speedup (pool)       %.2fx\n", old_ms / new_mt_ms);
+    std::printf("  %-34s %10.3f ms\n", "closed-form engine", new_ms);
+    std::printf("  speedup              %.2fx\n", old_ms / new_ms);
     std::printf("  max |score dev|      %.3e  (%s)\n", max_dev,
                 max_dev <= 1e-9 ? "parity OK" : "PARITY FAIL");
     std::printf("  selected             kappa0=%.4g nu0=%.4g score=%.6f\n",
@@ -232,10 +223,8 @@ int main(int argc, char** argv) {
       std::snprintf(
           measurements, sizeof measurements,
           "\"d\": %zu, \"n\": %zu, \"folds\": %zu, \"grid\": %zu, "
-          "\"old_ms\": %.3f, \"new_1t_ms\": %.3f, \"new_mt_ms\": %.3f, "
-          "\"max_score_dev\": %.3e",
-          d, n, config.folds, grid_points, old_ms, new_1t_ms, new_mt_ms,
-          max_dev);
+          "\"old_ms\": %.3f, \"new_1t_ms\": %.3f, \"max_score_dev\": %.3e",
+          d, n, config.folds, grid_points, old_ms, new_ms, max_dev);
       const std::string record =
           "{\"bench\": \"micro_cv\", " +
           bmfusion::bench::run_metadata_json(cli, /*threads=*/0) + ", " +

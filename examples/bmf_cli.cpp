@@ -49,9 +49,10 @@ linalg::Vector parse_vector(const std::string& text, std::size_t expected) {
 }
 
 /// Dumps the model-selection surface as "kappa0,nu0,score" CSV for
-/// bmf_doctor. Disqualified points (-inf score) are skipped: the CSV dialect
-/// is finite-only, and the snapshot's core.cv.disqualified_points counter
-/// already carries their tally.
+/// bmf_doctor. The selected point carries its exact score and the others
+/// may carry the closed-form surface (DESIGN §6). Disqualified points (-inf
+/// score) are skipped: the CSV dialect is finite-only, and the snapshot's
+/// core.cv.disqualified_points counter already carries their tally.
 void write_cv_surface(const std::string& path,
                       const std::vector<core::GridScore>& grid) {
   if (path.empty()) return;

@@ -7,7 +7,8 @@
 # fault-injection and telemetry suites (jitter retries, clamped pivots,
 # exception unwinding, shard merges — exactly the paths where memory and UB
 # bugs like to hide), the multi-population fusion and streaming suites
-# (snapshot-cache invalidation and rejected-shard paths), the dsp and
+# (snapshot-cache invalidation and rejected-shard paths), the estimator API
+# suite (the closed-form CV surface indexes raw per-fold buffers), the dsp and
 # Monte Carlo contract suites (the FFT walks raw double pointers over
 # std::complex storage; pinned dies, allocation contract), and the serve and
 # common suites (the request decoders index raw payload bytes and the JSON
@@ -15,9 +16,10 @@
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
 # shards + merge-on-read), the log sinks, the full serve suite (epoll I/O
 # threads trading connections, atomic stop flags, the stop/wait handshake),
-# the fusion suite (N per-population CV grids on the shared pool), and the
-# parallel Monte Carlo engine (per-worker StatStreams, pool exception
-# transport, a multi-thread parity smoke).
+# the fusion suite (single-threaded since the CV grid left the pool; kept
+# so that any future parallel population snapshot is raced from day one),
+# and the parallel Monte Carlo engine (per-worker StatStreams, pool
+# exception transport, a multi-thread parity smoke).
 #
 # Usage: scripts/tier1.sh [--skip-asan] [--skip-telemetry-off] [--skip-tsan]
 set -euo pipefail
@@ -65,7 +67,8 @@ else
   cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
   cmake --build build-asan -j "$(nproc)" \
     --target test_fault_injection test_telemetry test_log test_fusion \
-    test_streaming test_dsp test_montecarlo_perf test_serve test_common
+    test_streaming test_estimator_api test_dsp test_montecarlo_perf \
+    test_serve test_common
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -82,6 +85,12 @@ else
   # checks unwind through the cached-result code.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_streaming
+  # CV engine: the closed-form surface walks per-fold spectra, whitened
+  # vectors and held-out matrices through raw indices, and the CvSurface
+  # tests drive it at d = 1..8, ragged and empty folds, and the exact
+  # fallback.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_estimator_api
   # FFT and flash-ADC hot path: the butterflies index interleaved doubles
   # over std::complex storage through a per-workspace twiddle table, and the
   # thermometer-code walk indexes the sorted thresholds directly — the
@@ -196,9 +205,11 @@ else
   # cross-thread edge.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_serve
-  # Multi-population fusion under TSan: every per-population BmfEstimator
-  # runs its CV grid on the shared worker pool, so a joint snapshot fans
-  # out and joins N pools' worth of cross-thread edges.
+  # Multi-population fusion under TSan: each population selects its
+  # hyper-parameters on the calling thread (the CV grid no longer uses the
+  # worker pool), so a joint snapshot is single-threaded today; the stage
+  # stays so that any future parallel population snapshot runs under TSan
+  # from its first commit.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_fusion
 

@@ -6,11 +6,15 @@
 // The grid point with the best average held-out score wins.
 //
 // The engine works on sufficient statistics: each fold's (count, sum,
-// scatter) triple is computed once, every leave-one-fold-out training set is
-// formed by subtracting the fold from the totals, and the MAP fuse plus the
-// held-out score are evaluated from the statistics in O(d^3) per
-// (grid point, fold) — independent of the sample count. Grid points are
-// evaluated in parallel on the persistent thread pool (common/parallel.hpp).
+// scatter) triple is computed once, and every leave-one-fold-out training
+// set is formed by subtracting the fold from the totals. Under the eq. 20
+// anchoring a grid point's held-out score depends on one whitened spectrum
+// per fold, so the whole grid is scored in closed form, O(d) per
+// (grid point, fold) after one d x d eigensolve per fold. Only the points
+// that can win are then re-scored exactly (map_fuse + log_likelihood), so
+// the selection, its score and the fused moments are bitwise those of the
+// exact grid; non-winning grid() entries carry closed-form scores (DESIGN
+// §6). Both selectors run on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +41,6 @@ struct CrossValidationConfig {
   /// nu0 is gridded as d + offset so every candidate satisfies nu0 > d.
   double nu_offset_min = 1.0;
   double nu_offset_max = 1000.0;
-  /// Worker threads for the grid sweep; 0 means default_thread_count().
-  std::size_t threads = 0;
 
   CrossValidationConfig& with_folds(std::size_t q) {
     folds = q;
@@ -59,11 +61,6 @@ struct CrossValidationConfig {
     nu_offset_max = hi;
     return *this;
   }
-  CrossValidationConfig& with_threads(std::size_t count) {
-    threads = count;
-    return *this;
-  }
-
   /// Throws ConfigError (a ContractError subtype) when the grid, ranges or
   /// fold count are malformed. Requires folds >= 2 so that a config which
   /// passes validate() never throws downstream in the fold-based search.
@@ -105,7 +102,9 @@ class CrossValidationResult {
 
   /// Every evaluated grid point, row-major with kappa as the outer axis
   /// (index = kappa_index * nu_points + nu_index). Disqualified points
-  /// carry score == -infinity.
+  /// carry score == -infinity. The selected point and every point that was
+  /// re-scored carry exact scores; the others carry the closed-form surface
+  /// (DESIGN §6), within 0.25e-9 * max(1, |score|) of their exact values.
   [[nodiscard]] const std::vector<GridScore>& grid() const { return grid_; }
 
  private:
@@ -139,9 +138,10 @@ class CrossValidationResult {
 /// Empirical-Bayes alternative to the paper's Q-fold cross validation:
 /// scores every grid point with the *closed-form* marginal likelihood
 /// (model evidence) of the normal-Wishart model and picks the maximum.
-/// No folds are needed, so this works down to a single sample and costs
-/// one posterior update per grid point instead of Q. The score field holds
-/// the per-sample log evidence. (Library extension beyond the paper;
+/// No folds are needed, so this works down to a single sample; the surface
+/// is the CV kernel on the totals, and the points that can win are
+/// re-scored with the NormalWishart evidence. The score field holds the
+/// per-sample log evidence. (Library extension beyond the paper;
 /// compared against CV in bench/ablation_evidence.)
 [[nodiscard]] CrossValidationResult select_hyperparameters_evidence(
     const GaussianMoments& early_scaled, const linalg::Matrix& late_scaled,

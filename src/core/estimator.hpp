@@ -22,9 +22,11 @@
 //
 // Conjugacy is what makes the streaming surface cheap: a new sample is an
 // O(d^2) statistics update, and a first snapshot() runs the strategy's
-// hyper-parameter selection (the CV grid for BMF, O(grid * folds * d^3))
-// from fold statistics alone, however many samples the stream absorbed. A
-// repeat snapshot() of an unchanged stream is a copy of the cached result.
+// hyper-parameter selection (the CV grid for BMF: one d^3 eigensolve per
+// fold, O(grid * folds * d) closed-form scoring, then an exact re-score of
+// the points that can win) from fold statistics alone, however many samples
+// the stream absorbed. A repeat snapshot() of an unchanged stream is a copy
+// of the cached result.
 #pragma once
 
 #include <cstdint>

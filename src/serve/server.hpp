@@ -54,8 +54,8 @@ struct ServerConfig {
   /// listen(2) backlog.
   int backlog = 128;
   /// I/O threads (one epoll loop each). 0 = one per hardware thread,
-  /// capped at 4 — request handling runs inline on these threads and the
-  /// estimate hot path already fans out on the parallel_for pool.
+  /// capped at 4 — request handling, estimates included, runs inline on
+  /// these threads.
   std::size_t io_threads = 0;
   /// Maximum bytes one request may span (a JSON line or a binary frame
   /// payload). A connection exceeding it gets an in-band error, a

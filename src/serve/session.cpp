@@ -105,7 +105,6 @@ CrossValidationConfig parse_cv_config(const JsonValue& spec) {
   cv.kappa_max = config->number_or("kappa_max", cv.kappa_max);
   cv.nu_offset_min = config->number_or("nu_offset_min", cv.nu_offset_min);
   cv.nu_offset_max = config->number_or("nu_offset_max", cv.nu_offset_max);
-  cv.threads = count("threads", cv.threads);
   return cv;
 }
 
@@ -310,8 +309,8 @@ Counted<core::EstimateResult> Session::estimate() const {
                     ErrorContext{}.with_operation("serve_estimate")
                         .with_detail("id: " + id_));
   }
-  // The heavy lifting (the CV grid sweep) runs on the shared parallel_for
-  // pool; this connection thread only holds the session lock.
+  // A recompute (the CV grid) runs here, on this connection thread, under
+  // the session lock; a repeat estimate of an unchanged stream is a copy.
   BMF_SCOPED_TIMER_US("serve.estimate_us");
   return {estimator_->snapshot(), observed_total()};
 }

@@ -36,13 +36,14 @@ namespace bmfusion::serve {
 ///    "early":    {"mean": [...], "covariance": [[...]], "nominal": [...]},
 ///    "config":   {"folds": 4, "kappa_points": 12, "nu_points": 12,
 ///                 "kappa_min": .., "kappa_max": .., "nu_offset_min": ..,
-///                 "nu_offset_max": .., "threads": 0,
-///                 "shift_scale": true, "selection": "cv" | "evidence"},
+///                 "nu_offset_max": .., "shift_scale": true,
+///                 "selection": "cv" | "evidence"},
 ///    "nominal":  [...]}  // late-stage nominal; applied via set_nominal
 ///
 /// "early" is required for bmf (with "nominal" inside it) and
 /// univariate-bmf (moments only); "config" and the top-level "nominal" are
-/// optional. Malformed specs throw DataError; invalid configurations
+/// optional, and unknown config keys (such as the retired "threads") are
+/// ignored. Malformed specs throw DataError; invalid configurations
 /// propagate the core's ConfigError/ContractError.
 [[nodiscard]] std::unique_ptr<core::MomentEstimator> make_estimator(
     const JsonValue& spec);

@@ -210,6 +210,35 @@ TEST(Diagnose, SnapshotReuseCountersAreListed) {
             nullptr);
 }
 
+TEST(Diagnose, CvScreenCountersAreListed) {
+  // The CV grid is scored in closed form and only the points that can win
+  // are re-scored exactly; the doctor lists how many were (exact_points)
+  // and how many selections ran the full exact grid (exact_fallbacks).
+  const std::string snapshot = write_temp_file(
+      "bmf_doctor_cv_screen.json", R"({
+        "counters": {
+          "core.cv.selections": 6,
+          "core.cv.grid_points": 864,
+          "core.cv.exact_points": 7,
+          "core.cv.exact_fallbacks": 0
+        }
+      })");
+  DoctorInputs inputs;
+  inputs.snapshot_path = snapshot;
+  const RunReport report = diagnose_run(inputs);
+
+  double exact_points = -1.0;
+  double fallbacks = -1.0;
+  for (const CounterReading& counter : report.health_counters) {
+    if (counter.name == "core.cv.exact_points") exact_points = counter.value;
+    if (counter.name == "core.cv.exact_fallbacks") fallbacks = counter.value;
+  }
+  EXPECT_DOUBLE_EQ(exact_points, 7.0);
+  EXPECT_DOUBLE_EQ(fallbacks, 0.0);
+  EXPECT_NE(report.to_markdown().find("core.cv.exact_fallbacks"),
+            std::string::npos);
+}
+
 TEST(Diagnose, FusionSectionSummarizesPopulationsAndShrinkage) {
   const std::string snapshot = write_temp_file(
       "bmf_doctor_fusion.json", R"({

@@ -1,6 +1,7 @@
-// Tests for the unified estimator API, the sufficient-statistic CV engine
-// (golden-value parity against a reference implementation of the original
-// materialize-per-fold engine), and the persistent thread pool.
+// Tests for the unified estimator API, the CV engine (golden-value parity
+// against a reference implementation of the original materialize-per-fold
+// engine, and the closed-form surface's screen-then-verify contract against
+// the exact grid), and the persistent thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "circuit/flash_adc.hpp"
+#include "circuit/montecarlo.hpp"
+#include "circuit/opamp.hpp"
+#include "circuit/process.hpp"
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "core/bmf_estimator.hpp"
@@ -17,10 +22,13 @@
 #include "core/mle.hpp"
 #include "core/moments.hpp"
 #include "core/normal_wishart.hpp"
+#include "core/shift_scale.hpp"
 #include "core/univariate_bmf.hpp"
+#include "faulty_dataset.hpp"
 #include "stats/moments.hpp"
 #include "stats/mvn.hpp"
 #include "stats/rng.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bmfusion::core {
 namespace {
@@ -216,42 +224,295 @@ TEST(CvParity, SelectionMatchesReferenceArgmax) {
   EXPECT_NEAR(sel.score, best, 1e-9);
 }
 
-// --------------------------------------------------- thread-pool determinism
+// ------------------------------------- closed-form surface contract
 
-TEST(ThreadPoolDeterminism, CvGridIdenticalAcrossThreadCounts) {
+/// The exact grids the selectors fall back to: the per-point bodies of
+/// core/cross_validation.cpp, the same calls in the same order, so every
+/// score is bitwise the exact engine's.
+std::vector<GridScore> exact_cv_grid(const GaussianMoments& early,
+                                     const std::vector<SufficientStats>& test,
+                                     const CrossValidationConfig& config) {
+  SufficientStats totals(early.dimension());
+  for (const SufficientStats& fold : test) {
+    if (fold.count() > 0) totals += fold;
+  }
+  std::vector<SufficientStats> train;
+  for (const SufficientStats& fold : test) {
+    train.push_back(fold.count() > 0 ? totals - fold : totals);
+  }
+  const double d = static_cast<double>(early.dimension());
+  std::vector<GridScore> grid;
+  for (const double kappa0 :
+       log_spaced(config.kappa_min, config.kappa_max, config.kappa_points)) {
+    for (const double offset : log_spaced(config.nu_offset_min,
+                                          config.nu_offset_max,
+                                          config.nu_points)) {
+      const double nu0 = d + offset;
+      double total_loglik = 0.0;
+      std::size_t total_count = 0;
+      bool valid = true;
+      for (std::size_t q = 0; q < test.size() && valid; ++q) {
+        if (train[q].count() == 0 || test[q].count() == 0) continue;
+        try {
+          const GaussianMoments map = map_fuse(early, train[q], kappa0, nu0);
+          total_loglik += log_likelihood(map, test[q], LikelihoodFallback{});
+          total_count += test[q].count();
+        } catch (const NumericError&) {
+          valid = false;
+        }
+      }
+      grid.push_back({kappa0, nu0,
+                      (valid && total_count > 0)
+                          ? total_loglik / static_cast<double>(total_count)
+                          : -std::numeric_limits<double>::infinity()});
+    }
+  }
+  return grid;
+}
+
+std::vector<GridScore> exact_evidence_grid(
+    const GaussianMoments& early, const SufficientStats& stats,
+    const CrossValidationConfig& config) {
+  const double d = static_cast<double>(early.dimension());
+  const double n = static_cast<double>(stats.count());
+  const Matrix lambda_e = linalg::Cholesky(early.covariance).inverse();
+  std::vector<GridScore> grid;
+  for (const double kappa0 :
+       log_spaced(config.kappa_min, config.kappa_max, config.kappa_points)) {
+    for (const double offset : log_spaced(config.nu_offset_min,
+                                          config.nu_offset_max,
+                                          config.nu_points)) {
+      const double nu0 = d + offset;
+      double score = -std::numeric_limits<double>::infinity();
+      try {
+        score = NormalWishart(early.mean, kappa0, nu0, lambda_e / (nu0 - d))
+                    .log_marginal_likelihood(stats) /
+                n;
+      } catch (const NumericError&) {
+      }
+      grid.push_back({kappa0, nu0, score});
+    }
+  }
+  return grid;
+}
+
+/// The contract: the selection is bitwise the exact grid's (first strictly
+/// greater score, row-major), and every finite grid score lies within a
+/// quarter of the 1e-9 * max(1, |best|) screening margin of the exact one.
+void expect_surface_contract(const CrossValidationResult& got,
+                             const std::vector<GridScore>& exact) {
+  GridScore best{0.0, 0.0, -std::numeric_limits<double>::infinity()};
+  for (const GridScore& gs : exact) {
+    if (gs.score > best.score) best = gs;
+  }
+  EXPECT_EQ(got.kappa0, best.kappa0);
+  EXPECT_EQ(got.nu0, best.nu0);
+  EXPECT_EQ(got.score, best.score);
+  const double quarter_margin = 0.25e-9 * std::max(1.0, std::fabs(best.score));
+  ASSERT_EQ(got.grid().size(), exact.size());
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(got.grid()[i].kappa0, exact[i].kappa0);
+    EXPECT_EQ(got.grid()[i].nu0, exact[i].nu0);
+    if (std::isfinite(exact[i].score)) {
+      EXPECT_LE(std::fabs(got.grid()[i].score - exact[i].score),
+                quarter_margin)
+          << "grid index " << i;
+    } else {
+      EXPECT_EQ(got.grid()[i].score, exact[i].score) << "grid index " << i;
+    }
+  }
+}
+
+std::vector<SufficientStats> round_robin_folds(const Matrix& rows,
+                                               std::size_t folds) {
+  std::vector<SufficientStats> out(folds, SufficientStats(rows.cols()));
+  for (std::size_t i = 0; i < rows.rows(); ++i) out[i % folds].add(rows.row(i));
+  return out;
+}
+
+std::uint64_t counter_total(const char* name) {
+  return telemetry::Registry::instance().counter(name).total();
+}
+
+/// Checks both selectors on one problem against their exact grids.
+void expect_both_selectors(const GaussianMoments& early,
+                           const std::vector<SufficientStats>& folds,
+                           const CrossValidationConfig& config) {
+  {
+    SCOPED_TRACE("cross validation");
+    expect_surface_contract(select_hyperparameters(early, folds, config),
+                            exact_cv_grid(early, folds, config));
+  }
+  SufficientStats totals(early.dimension());
+  for (const SufficientStats& fold : folds) {
+    if (fold.count() > 0) totals += fold;
+  }
+  SCOPED_TRACE("evidence");
+  expect_surface_contract(
+      select_hyperparameters_evidence(early, totals, config),
+      exact_evidence_grid(early, totals, config));
+}
+
+TEST(CvSurface, PaperSessionsMatchTheExactGrid) {
+  // The op-amp and flash-ADC sessions of the paper's flow in the scaled
+  // space of Section 4.1, folded round-robin as a streaming session folds
+  // them. A selection re-scores about one point and never falls back.
+  using circuit::DesignStage;
+  using circuit::MonteCarloConfig;
+  const circuit::TwoStageOpAmp opamp_early(DesignStage::kSchematic,
+                                           circuit::ProcessModel::cmos45());
+  const circuit::TwoStageOpAmp opamp_late(DesignStage::kPostLayout,
+                                          circuit::ProcessModel::cmos45());
+  const circuit::FlashAdc adc_early(DesignStage::kSchematic,
+                                    circuit::ProcessModel::cmos180());
+  const circuit::FlashAdc adc_late(DesignStage::kPostLayout,
+                                   circuit::ProcessModel::cmos180());
+  const std::pair<const circuit::Testbench*, const circuit::Testbench*>
+      sessions[] = {{&opamp_early, &opamp_late}, {&adc_early, &adc_late}};
+  const CrossValidationConfig config;
+  const std::uint64_t selections = counter_total("core.cv.selections");
+  const std::uint64_t exact_points = counter_total("core.cv.exact_points");
+  const std::uint64_t fallbacks = counter_total("core.cv.exact_fallbacks");
+  for (const auto& [early_bench, late_bench] : sessions) {
+    const Matrix early_rows =
+        circuit::run_monte_carlo(
+            *early_bench,
+            MonteCarloConfig{}.with_sample_count(200).with_seed(17).with_threads(1))
+            .samples();
+    const Matrix late_rows =
+        circuit::run_monte_carlo(
+            *late_bench,
+            MonteCarloConfig{}.with_sample_count(128).with_seed(18).with_threads(1))
+            .samples();
+    const GaussianMoments early_moments = estimate_mle(early_rows);
+    const StageTransforms transforms =
+        make_stage_transforms(early_bench->nominal_metrics(),
+                              late_bench->nominal_metrics(), early_moments);
+    const GaussianMoments early = transforms.early.apply(early_moments);
+    for (const std::size_t n : {8u, 32u, 128u}) {
+      SCOPED_TRACE("n = " + std::to_string(n));
+      Matrix late(n, late_rows.cols());
+      for (std::size_t i = 0; i < n; ++i) {
+        late.set_row(i, transforms.late.apply(late_rows.row(i)));
+      }
+      expect_both_selectors(early, round_robin_folds(late, 4), config);
+    }
+  }
+  if (telemetry::enabled()) {
+    const std::uint64_t made = counter_total("core.cv.selections") - selections;
+    EXPECT_EQ(made, 12u);
+    EXPECT_LE(counter_total("core.cv.exact_points") - exact_points, 2 * made);
+    EXPECT_EQ(counter_total("core.cv.exact_fallbacks"), fallbacks);
+  }
+}
+
+TEST(CvSurface, RandomCasesMatchTheExactGrid) {
+  // Ragged folds, fewer samples than dimensions, a tiny nu offset, both
+  // (a rank-deficient training scatter plus a tiny alpha: M nearly
+  // singular at the low-nu0 edge), late samples a thousand times tighter
+  // than the prior with a tiny nu offset, a near-singular prior, and a
+  // problem at 1e-3 scale whose prior is asymmetric within validate()'s
+  // tolerance, at d = 1, 2, 3, 5 and 8. Some selections screen, some fall
+  // back.
+  const std::uint64_t selections = counter_total("core.cv.selections");
+  const std::uint64_t fallbacks = counter_total("core.cv.exact_fallbacks");
+  std::uint64_t seed = 40;
+  for (const std::size_t d : {1u, 2u, 3u, 5u, 8u}) {
+    for (int variant = 0; variant < 7; ++variant) {
+      SCOPED_TRACE("d = " + std::to_string(d) + ", variant " +
+                   std::to_string(variant));
+      FaultyDataset data = FaultyDataset::clean(d, 4 * d + 3, ++seed);
+      CrossValidationConfig config;
+      std::size_t folds = 4;
+      switch (variant) {
+        case 0: folds = 3; break;  // 4d + 3 rows: ragged folds
+        case 1: data.with_sample_count(std::max<std::size_t>(2, d - 1)); break;
+        case 2: config.with_nu_offset_range(1e-6, 1000.0); break;
+        case 3:
+          data.with_sample_count(std::max<std::size_t>(2, d - 1));
+          config.with_nu_offset_range(1e-6, 1000.0);
+          break;
+        case 4:
+          for (std::size_t r = 0; r < data.late.rows(); ++r) {
+            for (std::size_t c = 0; c < d; ++c) {
+              data.late(r, c) = data.early.mean[c] + 1e-3 * data.late(r, c);
+            }
+          }
+          config.with_nu_offset_range(1e-6, 1000.0);
+          break;
+        case 5:
+          if (d >= 2) data.with_near_singular_prior();
+          break;
+        case 6:
+          data.early.mean = data.early.mean * 1e-3;
+          data.early.covariance *= 1e-6;
+          data.late *= 1e-3;
+          if (d >= 2) data.early.covariance(0, 1) += 5e-10;
+          break;
+      }
+      expect_both_selectors(data.early,
+                            round_robin_folds(data.late,
+                                              std::min(folds, data.late.rows())),
+                            config);
+    }
+  }
+  if (telemetry::enabled()) {
+    const std::uint64_t fell_back =
+        counter_total("core.cv.exact_fallbacks") - fallbacks;
+    EXPECT_GT(fell_back, 0u);
+    EXPECT_LT(fell_back, counter_total("core.cv.selections") - selections);
+  }
+}
+
+TEST(CvSurface, SingularPriorRunsTheFullExactGrid) {
+  // Sigma_E has an exactly zero variance, so its clean Cholesky fails and
+  // the surface cannot whiten by it: the selection runs the exact grid,
+  // whose scoring fallback chain recovers every point.
+  GaussianMoments early;
+  early.mean = Vector{0.0, 0.5};
+  early.covariance = Matrix{{1.0, 0.0}, {0.0, 0.0}};
+  FaultyDataset data = FaultyDataset::clean(2, 10, 10);
+  data.early = early;
+  data.with_constant_late_dimension(1);
+  for (std::size_t r = 0; r < data.late.rows(); ++r) {
+    data.late(r, 1) = early.mean[1];
+  }
+  const std::vector<SufficientStats> folds = round_robin_folds(data.late, 4);
+  const CrossValidationConfig config;
+  const std::uint64_t fallbacks = counter_total("core.cv.exact_fallbacks");
+  const CrossValidationResult got =
+      select_hyperparameters(early, folds, config);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(counter_total("core.cv.exact_fallbacks"), fallbacks + 1);
+  }
+  const std::vector<GridScore> exact = exact_cv_grid(early, folds, config);
+  ASSERT_EQ(got.grid().size(), exact.size());
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(got.grid()[i].score, exact[i].score) << "grid index " << i;
+  }
+  // The evidence selector inverts Sigma_E and throws, as it always has.
+  SufficientStats totals(2);
+  for (const SufficientStats& fold : folds) totals += fold;
+  EXPECT_THROW((void)select_hyperparameters_evidence(early, totals, config),
+               NumericError);
+}
+
+TEST(CvSurface, SingleUsableFoldStillThrowsTypedError) {
+  // One non-empty fold leaves nothing to hold out: every point is
+  // disqualified and from_grid throws, as before the surface existed.
   const GaussianMoments early = toy_moments(3);
-  const Matrix late = draws(early, 30, 9);
-  CrossValidationConfig config;
-  const CrossValidationResult one =
-      select_hyperparameters(early, late, config.with_threads(1));
-  const CrossValidationResult two =
-      select_hyperparameters(early, late, config.with_threads(2));
-  const CrossValidationResult eight =
-      select_hyperparameters(early, late, config.with_threads(8));
-  ASSERT_EQ(one.grid().size(), two.grid().size());
-  ASSERT_EQ(one.grid().size(), eight.grid().size());
-  for (std::size_t i = 0; i < one.grid().size(); ++i) {
-    // Bitwise identical: the engine evaluates every grid point with the
-    // same scalar code regardless of which worker claims it.
-    EXPECT_EQ(one.grid()[i].score, two.grid()[i].score);
-    EXPECT_EQ(one.grid()[i].score, eight.grid()[i].score);
+  std::vector<SufficientStats> folds(4, SufficientStats(3));
+  const Matrix rows = draws(early, 6, 21);
+  for (std::size_t i = 0; i < rows.rows(); ++i) folds[0].add(rows.row(i));
+  try {
+    (void)select_hyperparameters(early, folds, {});
+    FAIL() << "expected NumericError";
+  } catch (const NumericError& e) {
+    EXPECT_EQ(e.context().operation, "cv-select");
   }
-  EXPECT_EQ(one.kappa0, eight.kappa0);
-  EXPECT_EQ(one.nu0, eight.nu0);
 }
 
-TEST(ThreadPoolDeterminism, EvidenceGridIdenticalAcrossThreadCounts) {
-  const GaussianMoments early = toy_moments();
-  const Matrix late = draws(early, 11, 10);
-  CrossValidationConfig config;
-  const CrossValidationResult one =
-      select_hyperparameters_evidence(early, late, config.with_threads(1));
-  const CrossValidationResult many =
-      select_hyperparameters_evidence(early, late, config.with_threads(7));
-  for (std::size_t i = 0; i < one.grid().size(); ++i) {
-    EXPECT_EQ(one.grid()[i].score, many.grid()[i].score);
-  }
-}
+// --------------------------------------------------------- thread pool
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 5u, 16u}) {
@@ -398,14 +659,12 @@ TEST(FluentConfig, SettersChainAndValidate) {
                                        .with_folds(5)
                                        .with_grid(6, 7)
                                        .with_kappa_range(0.5, 50.0)
-                                       .with_nu_offset_range(2.0, 20.0)
-                                       .with_threads(3);
+                                       .with_nu_offset_range(2.0, 20.0);
   EXPECT_EQ(cv.folds, 5u);
   EXPECT_EQ(cv.kappa_points, 6u);
   EXPECT_EQ(cv.nu_points, 7u);
   EXPECT_DOUBLE_EQ(cv.kappa_min, 0.5);
   EXPECT_DOUBLE_EQ(cv.nu_offset_max, 20.0);
-  EXPECT_EQ(cv.threads, 3u);
   EXPECT_NO_THROW(cv.validate());
   EXPECT_THROW(CrossValidationConfig{}.with_grid(1, 5).validate(),
                ContractError);

@@ -1294,7 +1294,7 @@ TEST(ServeProtocol, ConfigCountsAcceptOnlyExactIntegers) {
   // Fractions, negatives, non-numbers and values past 2^32-1 (1e999 parses
   // as inf) are rejected by name, never cast: a cast of 1e20 to size_t is
   // undefined, and 2.5 used to become 2.
-  for (const char* field : {"folds", "kappa_points", "nu_points", "threads"}) {
+  for (const char* field : {"folds", "kappa_points", "nu_points"}) {
     for (const char* bad : {"1e20", "1e999", "2.5", "-1", "\"4\"",
                             "4294967296"}) {
       EXPECT_EQ(open(std::string("\"") + field + "\":" + bad),
@@ -1305,6 +1305,8 @@ TEST(ServeProtocol, ConfigCountsAcceptOnlyExactIntegers) {
           << field << "=" << bad;
     }
   }
+  // "threads" is no longer a config field; clients that still send it
+  // open sessions as before.
   EXPECT_EQ(open("\"folds\":3,\"kappa_points\":4,\"nu_points\":4,"
                  "\"threads\":1"),
             "");
