@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, a build of
-# the repository benchmark (perfbench/, compiled only), then a
+# the repository benchmark (perfbench/, compiled only), a build of the
+# library and tools with tests, benches and examples off, then a
 # telemetry-OFF configure (every BMF_* macro compiles to a no-op and the
 # whole suite must still pass — the instrumentation is strictly additive),
 # then an AddressSanitizer+UndefinedBehaviorSanitizer build running the
@@ -50,6 +51,14 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 echo "==> tier-1: perfbench build"
 cmake -B build-perfbench -S perfbench
 cmake --build build-perfbench -j "$(nproc)" --target perfbench
+
+# The library and tools alone: tests, benches and examples off. A target
+# that reaches into an optional subtree (bench_common, say) without the
+# option that builds it fails here.
+echo "==> tier-1: minimal build (tests, benches and examples off)"
+cmake -B build-minimal -S . -DBMFUSION_BUILD_TESTS=OFF \
+  -DBMFUSION_BUILD_BENCHES=OFF -DBMFUSION_BUILD_EXAMPLES=OFF
+cmake --build build-minimal -j "$(nproc)"
 
 if [[ "${skip_telemetry_off}" -eq 1 ]]; then
   echo "==> tier-1: telemetry-OFF stage skipped (--skip-telemetry-off)"

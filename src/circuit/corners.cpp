@@ -51,22 +51,6 @@ void apply_condition(TwoStageOpAmp::DieVariations& v,
   v.cap_factor *= corner_gv.cap_factor;
 }
 
-void apply_condition(FlashAdc::DieVariations& v,
-                     const GlobalVariation& corner_gv,
-                     const CornerPoint& point) {
-  // The behavioral ADC sees process and temperature through its comparator
-  // bias strength (NMOS drive), the reference ladder and the switched
-  // capacitance; comparator offsets are differential and cancel the shared
-  // threshold shift.
-  v.bias_factor *= corner_gv.kp_factor_nmos * mobility_factor(
-                                                  point.temperature_c);
-  const double ladder_scale =
-      corner_gv.res_factor *
-      (1.0 + kResTempco * (point.temperature_c - 27.0));
-  for (double& f : v.ladder_factors) f *= ladder_scale;
-  v.cap_factor *= corner_gv.cap_factor;
-}
-
 }  // namespace
 
 std::string CornerPoint::name() const {
@@ -127,45 +111,6 @@ CornerPopulations sweep_opamp_corners(DesignStage stage,
       TwoStageOpAmp::DieVariations v = bench.sample_variations(rng);
       apply_condition(v, corner_gv, point);
       const linalg::Vector row = bench.measure(v);
-      for (std::size_t m = 0; m < row.size(); ++m) samples(die, m) = row[m];
-    }
-    out.samples.push_back(std::move(samples));
-    BMF_COUNTER_ADD("fusion.corner_samples", sample_count);
-  }
-  return out;
-}
-
-CornerPopulations sweep_adc_corners(DesignStage stage,
-                                    const ProcessModel& process,
-                                    const CornerGridConfig& grid_config,
-                                    std::size_t sample_count,
-                                    std::uint64_t seed,
-                                    const FlashAdcDesign& design,
-                                    const FlashAdcParasitics& parasitics) {
-  BMFUSION_REQUIRE(sample_count >= 1, "corner sweep needs >= 1 die");
-  BMF_SPAN("corner_sweep_adc");
-  CornerPopulations out;
-  out.grid = make_corner_grid(grid_config);
-  for (const CornerPoint& point : out.grid) {
-    FlashAdcDesign corner_design = design;
-    corner_design.vdd *= point.vdd_factor;
-    const FlashAdc bench(stage, process, corner_design, parasitics);
-    if (out.metric_names.empty()) out.metric_names = bench.metric_names();
-    const GlobalVariation corner_gv =
-        process.corner(point.corner, grid_config.sigma_count);
-
-    FlashAdc::DieVariations nominal_die;
-    nominal_die.ladder_factors.assign(bench.comparator_count() + 1, 1.0);
-    nominal_die.comparator_offsets.assign(bench.comparator_count(), 0.0);
-    apply_condition(nominal_die, corner_gv, point);
-    out.nominals.push_back(bench.measure(nominal_die, nullptr));
-
-    linalg::Matrix samples(sample_count, out.metric_names.size());
-    for (std::size_t die = 0; die < sample_count; ++die) {
-      stats::Xoshiro256pp rng = sample_rng(seed, die);
-      FlashAdc::DieVariations v = bench.sample_variations(rng);
-      apply_condition(v, corner_gv, point);
-      const linalg::Vector row = bench.measure(v, &rng);
       for (std::size_t m = 0; m < row.size(); ++m) samples(die, m) = row[m];
     }
     out.samples.push_back(std::move(samples));

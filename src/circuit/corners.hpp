@@ -9,9 +9,9 @@
 // process variation — exactly the structure MultiPopulationEstimator
 // exploits, and exactly how a validation lab produces corner data.
 //
-// Condition modeling on top of the drawn DieVariations:
+// Condition modeling on top of the drawn op-amp DieVariations:
 //   * process corner: ProcessModel::corner() offsets applied per device
-//     polarity (op-amp) or through the bias/ladder/cap factors (flash ADC),
+//     polarity,
 //   * temperature: threshold shift of kTempVthSlope V/K (both polarities,
 //     "fast" negative convention) and mobility scaling (T/T0)^-1.3,
 //   * supply: the design's vdd field, rebuilt per grid point.
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/flash_adc.hpp"
 #include "circuit/opamp.hpp"
 #include "circuit/process.hpp"
 #include "circuit/stage.hpp"
@@ -62,7 +61,7 @@ struct CornerPopulations {
   std::vector<linalg::Vector> nominals;
 };
 
-/// Temperature coefficients shared by both sweeps.
+/// Temperature coefficients of the sweep.
 inline constexpr double kTempVthSlope = -1.5e-3;  ///< [V/K], both polarities
 inline constexpr double kTempMobilityExponent = -1.3;
 
@@ -74,12 +73,5 @@ inline constexpr double kTempMobilityExponent = -1.3;
     const CornerGridConfig& grid, std::size_t sample_count,
     std::uint64_t seed, const OpAmpDesign& design = {},
     const OpAmpParasitics& parasitics = {});
-
-/// Flash-ADC variant of the same sweep.
-[[nodiscard]] CornerPopulations sweep_adc_corners(
-    DesignStage stage, const ProcessModel& process,
-    const CornerGridConfig& grid, std::size_t sample_count,
-    std::uint64_t seed, const FlashAdcDesign& design = {},
-    const FlashAdcParasitics& parasitics = {});
 
 }  // namespace bmfusion::circuit

@@ -164,14 +164,18 @@ void FlashAdc::measure_into(const DieVariations& v, stats::Xoshiro256pp* rng,
   thresholds_into(v, sorted);
   std::sort(sorted.begin(), sorted.end());
 
+  // The capture's noise draws get a pass of their own, into `wave`, which
+  // the encode pass then overwrites with codes: kept apart from the code
+  // walks, no mispredicted walk can discard the log -> sqrt -> divide
+  // chains of draws already in flight.
   std::vector<double>& wave = scratch.wave;
   wave.resize(n);
+  const bool noisy = rng != nullptr && noise_rms > 0.0;
+  if (noisy) stats::sample_normal_into(*rng, 0.0, noise_rms, wave);
   const double halfspan = 0.5 * (design_.v_high - design_.v_low);
   for (std::size_t t = 0; t < n; ++t) {
     double x = carrier_[t];
-    if (rng != nullptr && noise_rms > 0.0) {
-      x += stats::sample_normal(*rng, 0.0, noise_rms);
-    }
+    if (noisy) x += wave[t];
     // Input buffer compression (see FlashAdcDesign::buffer_hd3).
     const double xn = x / halfspan;
     const double vin = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);

@@ -116,14 +116,18 @@ class FlashAdc final : public Testbench {
   void thresholds_into(const DieVariations& variations,
                        std::vector<double>& taps) const;
 
-  /// Simulates one die. When `rng` is null the capture is noise-free (used
-  /// for the nominal run).
+  /// Simulates one die. When `rng` is null the capture is noise-free. The
+  /// nominal run does not use that: nominal_metrics() measures with a
+  /// fixed-seed noise RNG, because a noiseless capture would report an SNR
+  /// far from every real die.
   [[nodiscard]] linalg::Vector measure(const DieVariations& variations,
                                        stats::Xoshiro256pp* rng) const;
 
   /// Workspace variant of measure(): the sorted-threshold and waveform
   /// buffers come from `ws`'s cached scratch and the result lands in
-  /// `ws.metrics`. Bitwise identical to measure().
+  /// `ws.metrics`. Bitwise identical to measure(). The capture's noise is
+  /// drawn in one pass (stats::sample_normal_into) before the encode pass,
+  /// consuming `rng` exactly as one sample_normal call per point would.
   void measure_into(const DieVariations& variations, stats::Xoshiro256pp* rng,
                     SimWorkspace& ws) const;
 

@@ -15,20 +15,33 @@ using Complex = std::complex<double>;
 /// True when n is a power of two (n >= 1).
 [[nodiscard]] bool is_power_of_two(std::size_t n);
 
-/// Twiddle factors of one transform size and direction, stage by stage:
-/// stage `len` (2, 4, ..., n) reads w^k, k < len/2, at offset len/2 - 1.
-/// Each stage's factors come from the recurrence w^(k+1) = w^k * w with
-/// w = e^(-+2 pi i / len), so they carry that recurrence's rounding and
-/// pin the transform's output bits to it.
+/// Die-invariant tables of one transform size and direction. Twiddle
+/// factors go stage by stage: stage `len` (2, 4, ..., n) reads w^k,
+/// k < len/2, at offset len/2 - 1. Each stage's factors come from the
+/// recurrence w^(k+1) = w^k * w with w = e^(-+2 pi i / len), so they carry
+/// that recurrence's rounding and pin the transform's output bits to it.
+/// The bit-reversal permutation is kept beside them as its list of swaps.
 struct FftTwiddles {
-  std::size_t n = 0;       ///< transform size of `w` (0 = not built yet)
+  std::size_t n = 0;       ///< transform size of the tables (0 = not built)
   bool inverse = false;    ///< direction of `w`
   std::vector<Complex> w;  ///< n - 1 factors
+  /// Bit-reversal swaps as flattened index pairs (i, j), i < j, in the
+  /// order the classic in-place permutation loop performs them.
+  std::vector<std::size_t> swaps;
 };
 
 /// In-place decimation-in-time radix-2 FFT. `data.size()` must be a power of
 /// two. `inverse` applies the conjugate transform *and* the 1/N scaling, so
 /// fft(fft(x), inverse=true) == x.
+///
+/// The output bits are those of the radix-2 loop with std::complex
+/// products, whatever the input. Two butterfly loops produce them. Input
+/// whose every component is finite with |x| <= 2^1000 / n cannot overflow
+/// in any stage, so it cannot make a NaN either; it takes a branch-free
+/// loop that runs two stages per pass on 2-double vectors, each lane doing
+/// the scalar operations in the scalar order. Anything else (infinities,
+/// NaN, near-overflow) takes the plain loop, whose per-butterfly NaN check
+/// hands over to the library complex product.
 void fft_inplace(std::vector<Complex>& data, bool inverse);
 
 /// Workspace variant of fft_inplace: reads the factors from `twiddles`,

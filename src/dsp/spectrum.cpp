@@ -51,6 +51,7 @@ const std::vector<double>& power_spectrum_into(
                    "capture length must be a power of two >= 16");
   if (scratch.window_n != n || scratch.window_kind != window) {
     make_window_into(window, n, scratch.window);
+    scratch.window_gain = window_coherent_gain(scratch.window);
     scratch.window_n = n;
     scratch.window_kind = window;
   }
@@ -63,7 +64,7 @@ const std::vector<double>& power_spectrum_into(
 
   // One-sided power, normalized by the coherent gain so absolute tone power
   // is window-independent. Interior bins get the x2 one-sided factor.
-  const double cg = window_coherent_gain(w);
+  const double cg = scratch.window_gain;
   const double norm = 1.0 / (cg * cg * static_cast<double>(n) *
                              static_cast<double>(n));
   scratch.power.resize(n / 2 + 1);

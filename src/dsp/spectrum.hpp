@@ -36,14 +36,15 @@ struct ToneAnalysisConfig {
 /// Reusable buffers for the tone-analysis pipeline. One scratch per
 /// worker/workspace: every vector grows to the capture size on the first
 /// call and is reused verbatim afterwards, so steady-state analysis is
-/// allocation-free (the flash-ADC Monte Carlo contract). The window is
-/// cached per (kind, length) and the FFT twiddle table per length; each is
-/// regenerated only when its key changes.
+/// allocation-free (the flash-ADC Monte Carlo contract). The window and its
+/// coherent gain are cached per (kind, length) and the FFT tables per
+/// length; each is regenerated only when its key changes.
 struct ToneScratch {
   std::vector<double> window;      ///< cached window coefficients
+  double window_gain = 0.0;        ///< window_coherent_gain(window)
   WindowKind window_kind = WindowKind::kRectangular;
   std::size_t window_n = 0;        ///< 0 = window not generated yet
-  FftTwiddles twiddles;            ///< cached forward FFT twiddle table
+  FftTwiddles twiddles;            ///< cached forward FFT tables
   std::vector<Complex> spectrum;   ///< complex FFT work buffer
   std::vector<double> power;       ///< one-sided power bins [0, n/2]
   std::vector<bool> claimed;       ///< per-bin claim map for band integration

@@ -1,5 +1,6 @@
 #include "stats/univariate.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -32,6 +33,37 @@ double sample_standard_normal(Xoshiro256pp& rng) {
 double sample_normal(Xoshiro256pp& rng, double mean, double stddev) {
   BMFUSION_REQUIRE(stddev >= 0.0, "normal sampling needs stddev >= 0");
   return mean + stddev * sample_standard_normal(rng);
+}
+
+void sample_normal_into(Xoshiro256pp& rng, double mean, double stddev,
+                        std::span<double> out) {
+  BMFUSION_REQUIRE(stddev >= 0.0, "normal sampling needs stddev >= 0");
+  // sample_standard_normal's polar method, one block of draws at a time in
+  // two passes. The accept pass runs the uniforms and the 0 < s < 1 test,
+  // keeping each candidate and advancing only on acceptance, so the RNG is
+  // consumed in exactly the scalar order. The transform pass then applies
+  // sample_normal's arithmetic, operation for operation, with no branch
+  // between one draw's log -> sqrt -> divide chain and the next, so no
+  // mispredicted accept test discards transforms already in flight.
+  constexpr std::size_t kBlock = 256;
+  double us[kBlock]{};
+  double ss[kBlock]{};
+  for (std::size_t base = 0; base < out.size(); base += kBlock) {
+    const std::size_t count = std::min(kBlock, out.size() - base);
+    for (std::size_t i = 0; i < count;) {
+      const double u = rng.next_uniform(-1.0, 1.0);
+      const double v = rng.next_uniform(-1.0, 1.0);
+      const double s = u * u + v * v;
+      us[i] = u;
+      ss[i] = s;
+      i += static_cast<std::size_t>((s > 0.0) & (s < 1.0));
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const double s = ss[i];
+      out[base + i] =
+          mean + stddev * (us[i] * std::sqrt(-2.0 * std::log(s) / s));
+    }
+  }
 }
 
 double sample_gamma(Xoshiro256pp& rng, double shape, double scale) {

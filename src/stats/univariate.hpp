@@ -4,6 +4,8 @@
 // reproducible and parallel streams are explicit.
 #pragma once
 
+#include <span>
+
 #include "stats/rng.hpp"
 
 namespace bmfusion::stats {
@@ -14,6 +16,13 @@ namespace bmfusion::stats {
 /// One N(mean, stddev^2) draw; requires stddev >= 0.
 [[nodiscard]] double sample_normal(Xoshiro256pp& rng, double mean,
                                    double stddev);
+
+/// Fills `out` with N(mean, stddev^2) draws; requires stddev >= 0. The
+/// values, and the state `rng` is left in, are bitwise those of
+/// `out.size()` sample_normal calls: same uniforms, same accept test, same
+/// transform. Only the loop structure differs (see the definition).
+void sample_normal_into(Xoshiro256pp& rng, double mean, double stddev,
+                        std::span<double> out);
 
 /// One Gamma(shape, scale) draw (Marsaglia-Tsang squeeze; shape > 0,
 /// scale > 0). Mean is shape*scale.

@@ -227,6 +227,58 @@ TEST(Fft, MatchesReferenceWithInfAndNan) {
   }
 }
 
+TEST(Fft, MatchesReferenceAroundTheOverflowGuard) {
+  // fft_inplace runs its branch-free loop only on finite input with
+  // |x| <= 2^1000 / n, which no stage can overflow. Input at the bound and
+  // one ulp past it must match the reference on either loop. Finite input
+  // large enough for the butterflies to overflow must take the checked
+  // loop: a product such as (inf, inf) * (1, 0) is NaN in both parts, and
+  // only the library product's recovery turns it into infinities, as
+  // std::complex does. A guard that admitted such input fails here.
+  stats::Xoshiro256pp rng(1000);
+  for (const std::size_t n : {8, 64, 1024, 4096}) {
+    const double bound = std::ldexp(1.0, 1000) / static_cast<double>(n);
+    for (const bool inverse : {false, true}) {
+      // Uniform in (-bound, bound): scaling by a power of two is exact.
+      std::vector<Complex> inside(n);
+      for (Complex& c : inside) {
+        c = Complex{rng.next_uniform(-1.0, 1.0) * bound,
+                    rng.next_uniform(-1.0, 1.0) * bound};
+      }
+      inside[1] = Complex{bound, -bound};
+      std::vector<Complex> outside = inside;
+      outside[n / 2] = Complex{0.5, std::nextafter(bound, 2.0 * bound)};
+      // Finite same-sign components near 2^1026 / n (about 1e306 at
+      // n = 1024): the partial sums overflow by the stage before the last.
+      const double huge = std::ldexp(1.0 / static_cast<double>(n), 1026);
+      std::vector<Complex> overflowing(n);
+      for (Complex& c : overflowing) {
+        c = Complex{huge * rng.next_uniform(0.99, 1.01),
+                    huge * rng.next_uniform(0.99, 1.01)};
+        ASSERT_TRUE(std::isfinite(c.real()) && std::isfinite(c.imag()));
+      }
+      const std::pair<const char*, std::vector<Complex>*> cases[] = {
+          {"inside", &inside},
+          {"outside", &outside},
+          {"overflowing", &overflowing}};
+      for (const auto& [name, data] : cases) {
+        std::vector<Complex> expected = *data;
+        reference_fft_inplace(expected, inverse);
+        fft_inplace(*data, inverse);
+        EXPECT_TRUE(same_bits_or_both_nan(*data, expected))
+            << name << " n=" << n << " inverse=" << inverse;
+      }
+      // The finite overflow case really overflowed.
+      EXPECT_FALSE(std::all_of(overflowing.begin(), overflowing.end(),
+                               [](const Complex& c) {
+                                 return std::isfinite(c.real()) &&
+                                        std::isfinite(c.imag());
+                               }))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
 TEST(Fft, ReusedTwiddleTableRekeysOnSizeAndDirection) {
   stats::Xoshiro256pp rng(11);
   FftTwiddles twiddles;

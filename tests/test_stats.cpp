@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "linalg/cholesky.hpp"
@@ -148,6 +152,43 @@ TEST(Special, LogSumExp) {
 
 // -------------------------------------------------------------- univariate
 
+/// First seed whose first polar candidate is rejected (s >= 1), so even a
+/// single batched draw walks the rejection branch.
+std::uint64_t seed_rejecting_first_candidate() {
+  for (std::uint64_t seed = 1;; ++seed) {
+    Xoshiro256pp rng(seed);
+    const double u = rng.next_uniform(-1.0, 1.0);
+    const double v = rng.next_uniform(-1.0, 1.0);
+    if (!(u * u + v * v < 1.0)) return seed;
+  }
+}
+
+TEST(SampleNormalInto, BitwiseMatchesScalarDrawsAndRngState) {
+  // n batched draws are n sample_normal calls, bit for bit, and leave the
+  // RNG where those calls leave it; 4096 spans several sampler blocks.
+  const std::uint64_t seed = seed_rejecting_first_candidate();
+  for (const std::size_t n : {0, 1, 7, 4096}) {
+    for (const auto& [mean, stddev] :
+         {std::pair{0.0, 0.4e-3}, std::pair{-1.25, 3.0}}) {
+      Xoshiro256pp scalar_rng(seed);
+      Xoshiro256pp batch_rng(seed);
+      std::vector<double> expected(n);
+      for (double& x : expected) x = sample_normal(scalar_rng, mean, stddev);
+      std::vector<double> got(n);
+      sample_normal_into(batch_rng, mean, stddev, got);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t a = 0;
+        std::uint64_t b = 0;
+        std::memcpy(&a, &got[i], sizeof a);
+        std::memcpy(&b, &expected[i], sizeof b);
+        ASSERT_EQ(a, b) << "n=" << n << " mean=" << mean << " i=" << i;
+      }
+      EXPECT_EQ(batch_rng.next_u64(), scalar_rng.next_u64())
+          << "n=" << n << " mean=" << mean;
+    }
+  }
+}
+
 TEST(Univariate, NormalSampleMoments) {
   Xoshiro256pp rng(20);
   constexpr int kN = 200000;
@@ -216,6 +257,8 @@ TEST(Univariate, LogPdfMatchesClosedForm) {
 TEST(Univariate, ParameterDomainChecks) {
   Xoshiro256pp rng(25);
   EXPECT_THROW((void)sample_normal(rng, 0.0, -1.0), ContractError);
+  std::vector<double> out(3);
+  EXPECT_THROW(sample_normal_into(rng, 0.0, -1.0, out), ContractError);
   EXPECT_THROW((void)sample_gamma(rng, 0.0, 1.0), ContractError);
   EXPECT_THROW((void)sample_chi_squared(rng, 0.0), ContractError);
   EXPECT_THROW((void)sample_exponential(rng, 0.0), ContractError);
