@@ -287,11 +287,9 @@ int main(int argc, char** argv) {
     const std::vector<double> freqs = log_frequency_grid(10.0, 10e9, 10);
     const NodeId out = net.find_node("out");
     const double ac_us = time_stage_us(
-        [&] {
-          ws.ac.sweep_into(freqs, out, ws.ac_system, ws.ac_lu, ws.ac_solution,
-                           ws.response);
-        },
+        [&] { ws.ac.amplifier_sweep(freqs, out, ws.ac_sweep, ws.response); },
         iters);
+    const std::size_t ac_points = ws.response.size();
 
     SimWorkspace sample_ws;
     std::size_t draw = 0;
@@ -342,7 +340,9 @@ int main(int argc, char** argv) {
 
     std::printf("micro_circuit (threads=%zu, iters=%zu)\n", threads, iters);
     std::printf("  %-36s %10.3f us\n", "DC solve (schematic op-amp)", dc_us);
-    std::printf("  %-36s %10.3f us\n", "AC sweep (91 points)", ac_us);
+    std::printf("  %-36s %10.3f us\n", "AC sweep (to the crossings)", ac_us);
+    std::printf("  %-36s %10zu of %zu\n", "AC points solved per die", ac_points,
+                freqs.size());
     std::printf("  %-36s %10.3f us\n", "op-amp sample (workspace)", opamp_us);
     std::printf("  %-36s %10.3f us\n", "op-amp sample (reference)",
                 opamp_ref_us);
@@ -364,15 +364,16 @@ int main(int argc, char** argv) {
       std::snprintf(
           measurements, sizeof measurements,
           "\"stages\": {\"dc_solve_us\": %.3f, \"ac_sweep_us\": %.3f, "
+          "\"ac_points\": %zu, "
           "\"opamp_sample_us\": %.3f, \"opamp_sample_ref_us\": %.3f, "
           "\"adc_sample_us\": %.3f}, \"mc_opamp_postlayout\": {\"samples\": "
           "%zu, \"seconds\": %.4f, \"throughput_sps\": %.1f}, "
           "\"mc_stats_opamp_postlayout\": {\"samples\": %zu, \"seconds\": "
           "%.4f, \"throughput_sps\": %.1f}, "
           "\"alloc_per_sample\": {\"opamp\": %.2f, \"adc\": %.2f}",
-          dc_us, ac_us, opamp_us, opamp_ref_us, adc_us, ds.sample_count(),
-          mc_seconds, sps, mc_stats.count(), mc_stats_seconds, stats_sps,
-          opamp_alloc, adc_alloc);
+          dc_us, ac_us, ac_points, opamp_us, opamp_ref_us, adc_us,
+          ds.sample_count(), mc_seconds, sps, mc_stats.count(),
+          mc_stats_seconds, stats_sps, opamp_alloc, adc_alloc);
       const std::string record = "{\"bench\": \"micro_circuit\", " +
                                  bench::run_metadata_json(cli, threads) +
                                  ", " + measurements + "}";

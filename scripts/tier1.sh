@@ -11,9 +11,10 @@
 # (snapshot-cache invalidation and rejected-shard paths), the estimator API
 # suite (the closed-form CV surface indexes raw per-fold buffers), the dsp and
 # Monte Carlo contract suites (the FFT walks raw double pointers over
-# std::complex storage; pinned dies, allocation contract), and the serve and
-# common suites (the request decoders index raw payload bytes and the JSON
-# parser counts its nesting depth), and finally a
+# std::complex storage; pinned dies, allocation contract), the circuit
+# solver suite (the op-amp's AC sweep kernel indexes raw lane buffers), and
+# the serve and common suites (the request decoders index raw payload bytes
+# and the JSON parser counts its nesting depth), and finally a
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
 # shards + merge-on-read), the log sinks, the full serve suite (epoll I/O
 # threads trading connections, atomic stop flags, the stop/wait handshake),
@@ -77,7 +78,7 @@ else
   cmake --build build-asan -j "$(nproc)" \
     --target test_fault_injection test_telemetry test_log test_fusion \
     test_streaming test_estimator_api test_dsp test_montecarlo_perf \
-    test_serve test_common
+    test_circuit_solvers test_serve test_common
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -108,6 +109,12 @@ else
     ./build-asan/tests/test_dsp
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_montecarlo_perf
+  # The op-amp's AC sweep kernel indexes raw lane buffers (two frequency
+  # points per elimination pass, per-step column lists, a backward pass cut
+  # at the probe row); AcSweep.* checks it bitwise against the dense solve
+  # on 1000 dies per stage and on each stop and fallback case.
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_circuit_solvers
   # Serve protocol and JSON parser: both wire modes decode into one typed
   # request, so the golden transcript, the truncated/trailing/wrapped binary
   # payloads and the nesting cap walk every decoder byte with ASan watching.

@@ -1,6 +1,7 @@
 #include "circuit/opamp.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "circuit/ac.hpp"
 #include "common/contracts.hpp"
@@ -8,6 +9,25 @@
 namespace bmfusion::circuit {
 
 using linalg::Vector;
+
+namespace {
+
+/// The AC half of a die, shared by measure() and measure_into(): sweep the
+/// output up to the crossings measure_amplifier reads, then measure.
+AmplifierAcMetrics measure_ac(const Netlist& net, const OperatingPoint& op,
+                              NodeId out, const std::vector<double>& freqs,
+                              SimWorkspace& ws) {
+  ws.ac.bind(net, op);
+  ws.ac.amplifier_sweep(freqs, out, ws.ac_sweep, ws.response);
+  const AmplifierAcMetrics m = measure_amplifier(
+      std::span(freqs).first(ws.response.size()), ws.response, ws.phase);
+  if (!m.unity_crossing_found) {
+    throw NumericError("op-amp: unity-gain crossing not found in sweep");
+  }
+  return m;
+}
+
+}  // namespace
 
 OpAmpModels::OpAmpModels() {
   nmos.type = MosfetType::kNmos;
@@ -173,21 +193,15 @@ Netlist TwoStageOpAmp::build_netlist(const DieVariations& v) const {
 
 Vector TwoStageOpAmp::measure(const DieVariations& variations) const {
   const Netlist net = build_netlist(variations);
-  SimWorkspace dc_ws;
-  solver_.solve_into(net, dc_ws, &warm_state_);
-  const OperatingPoint& op = dc_ws.op;
+  SimWorkspace ws;
+  solver_.solve_into(net, ws, &warm_state_);
+  const OperatingPoint& op = ws.op;
 
   const NodeId out = net.find_node("out");
   // VDD is voltage source 0; power it delivers is -V * I_branch.
   const double power = -design_.vdd * op.source_current(0);
   const double offset = op.voltage(out) - design_.vcm;
-
-  const AcAnalysis ac(net, op);
-  const std::vector<linalg::Complex> h = ac.sweep(freqs_, out);
-  const AmplifierAcMetrics m = measure_amplifier(freqs_, h);
-  if (!m.unity_crossing_found) {
-    throw NumericError("op-amp: unity-gain crossing not found in sweep");
-  }
+  const AmplifierAcMetrics m = measure_ac(net, op, out, freqs_, ws);
 
   Vector metrics(5);
   metrics[0] = m.dc_gain_db;
@@ -276,14 +290,7 @@ void TwoStageOpAmp::measure_into(const DieVariations& variations,
   const double power = -design_.vdd * ws.op.source_current(0);
   const double offset = ws.op.voltage(cache.out) - design_.vcm;
 
-  ws.ac.bind(net, ws.op);
-  ws.ac.sweep_into(freqs_, cache.out, ws.ac_system, ws.ac_lu, ws.ac_solution,
-                   ws.response);
-  const AmplifierAcMetrics m =
-      measure_amplifier(freqs_, ws.response, ws.phase);
-  if (!m.unity_crossing_found) {
-    throw NumericError("op-amp: unity-gain crossing not found in sweep");
-  }
+  const AmplifierAcMetrics m = measure_ac(net, ws.op, cache.out, freqs_, ws);
 
   ws.metrics.resize(5);
   ws.metrics[0] = m.dc_gain_db;

@@ -1,8 +1,9 @@
 // Reusable per-thread simulation buffers for the Monte Carlo hot path.
 //
 // One SimWorkspace owns every transient buffer a full sample needs — the
-// Newton-Raphson MNA system, the LU workspaces, the AC sweep system and the
-// metric vector — so the steady-state loop
+// Newton-Raphson MNA system, the real LU workspace, the AC sweep kernel's
+// factor buffers, the probe response and the metric vector — so the
+// steady-state loop
 //
 //   for (i : samples) bench.sample_metrics(rng, ws);
 //
@@ -18,7 +19,6 @@
 
 #include "circuit/ac.hpp"
 #include "circuit/dc.hpp"
-#include "linalg/complex_lu.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -39,9 +39,7 @@ struct SimWorkspace {
 
   // --- AC small-signal state ---
   AcAnalysis ac;                      ///< rebindable G/C stamp holder
-  linalg::ComplexMatrix ac_system;    ///< G + j*omega*C, reassembled per point
-  linalg::ComplexLu ac_lu;            ///< complex LU workspace
-  linalg::ComplexVector ac_solution;  ///< per-frequency solution
+  AcSweepScratch ac_sweep;            ///< amplifier_sweep factor buffers
   std::vector<linalg::Complex> response;  ///< probe-node sweep output
   std::vector<double> phase;          ///< measure_amplifier unwrap scratch
 

@@ -313,7 +313,7 @@ TEST(NumericsCrossCheck, EkvAndSquareLawAgreeOnStrongInversionGain) {
     net.add_mosfet("M1", out, in, kGround, m, {4e-6, 0.4e-6}, {});
     const OperatingPoint op = DcSolver().solve(net);
     const AcAnalysis ac(net, op);
-    return std::abs(ac.node_response(1e3, out));
+    return std::abs(ac.response(1e3)[out - 1]);
   };
   // Compensate the EKV's 1/n current scaling by boosting kp by n, so both
   // devices carry comparable current; the gains should then agree within
