@@ -11,8 +11,10 @@
 # (snapshot-cache invalidation and rejected-shard paths), the estimator API
 # suite (the closed-form CV surface indexes raw per-fold buffers), the dsp and
 # Monte Carlo contract suites (the FFT walks raw double pointers over
-# std::complex storage; pinned dies, allocation contract), the circuit
-# solver suite (the op-amp's AC sweep kernel indexes raw lane buffers), and
+# std::complex storage; pinned dies, allocation contract), the testbench
+# suite (the flash-ADC encoder indexes its raw bucket table and lane
+# buffers), the circuit solver suite (the op-amp's AC sweep kernel indexes
+# raw lane buffers), and
 # the serve and common suites (the request decoders index raw payload bytes
 # and the JSON parser counts its nesting depth), and finally a
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
@@ -74,11 +76,14 @@ if [[ "${skip_asan}" -eq 1 ]]; then
   echo "==> tier-1: ASan+UBSan stage skipped (--skip-asan)"
 else
   echo "==> tier-1: ASan+UBSan build + fault-injection + telemetry + log suites"
-  cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined
+  # GCC's -fsanitize=undefined leaves out float-cast-overflow, so a double
+  # cast to an integer it cannot hold (the encoder's bucket index, say)
+  # would pass silently without it.
+  cmake -B build-asan -S . -DBMF_SANITIZE=address,undefined,float-cast-overflow
   cmake --build build-asan -j "$(nproc)" \
     --target test_fault_injection test_telemetry test_log test_fusion \
     test_streaming test_estimator_api test_dsp test_montecarlo_perf \
-    test_circuit_solvers test_serve test_common
+    test_testbenches test_circuit_solvers test_serve test_common
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_fault_injection
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -103,12 +108,17 @@ else
     ./build-asan/tests/test_estimator_api
   # FFT and flash-ADC hot path: the butterflies index interleaved doubles
   # over std::complex storage through a per-workspace twiddle table, and the
-  # thermometer-code walk indexes the sorted thresholds directly — the
-  # reference-FFT, pinned-die and allocation-contract tests drive all of it.
+  # thermometer encoder casts each input to an index into its bucket table
+  # and reads lane pairs from its padded thresholds — the reference-FFT,
+  # pinned-die and allocation-contract tests and the encoder tests (every
+  # bucket edge, ±DBL_MAX, ±inf, NaN, a six-threshold bucket, 600 noisy
+  # captures against a binary search) drive all of it.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_dsp
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_montecarlo_perf
+  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+    ./build-asan/tests/test_testbenches
   # The op-amp's AC sweep kernel indexes raw lane buffers (two frequency
   # points per elimination pass, per-step column lists, a backward pass cut
   # at the probe row); AcSweep.* checks it bitwise against the dense solve

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "dsp/fft.hpp"
 #include "stats/univariate.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bmfusion::circuit {
 
@@ -14,6 +16,48 @@ using linalg::Vector;
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586476925286766559005768;
+}
+
+void ThermometerEncoder::build(std::span<const double> thresholds,
+                               double v_low, double lsb) {
+  const std::size_t count = thresholds.size();
+  const std::size_t buckets = (count + 1) * kBucketsPerLsb;
+  const double scale = static_cast<double>(kBucketsPerLsb) / lsb;
+  BMFUSION_REQUIRE(std::isfinite(v_low) && lsb > 0.0 && std::isfinite(scale),
+                   "encoder ladder needs a finite v_low and a positive lsb");
+  // std::sort gives a NaN no defined place, and no input compares with it.
+  for (const double s : thresholds) {
+    BMFUSION_REQUIRE(!std::isnan(s), "comparator threshold is NaN");
+  }
+  v_low_ = v_low;
+  scale_ = scale;
+  last_bucket_ = static_cast<double>(buckets - 1);
+  count_ = count;
+
+  // The widest window is every threshold, so the padded buffer never needs
+  // more than 2 * count + 2 entries; reserving them on the first die keeps
+  // every later build allocation-free.
+  padded_.reserve(2 * count + 2);
+  padded_.assign(thresholds.begin(), thresholds.end());
+  std::sort(padded_.begin(), padded_.end());
+
+  // One merge of the sorted thresholds into the buckets: first_[b] is the
+  // number of thresholds in buckets below b, `widest` the most thresholds
+  // one bucket holds.
+  first_.resize(buckets);
+  std::size_t filled = 0;  // first_[0, filled) is written
+  std::size_t widest = 0;
+  for (std::size_t i = 0, run = 0; i < count; ++i) {
+    const std::size_t b = bucket(padded_[i]);
+    run = b + 1 == filled ? run + 1 : 1;
+    widest = std::max(widest, run);
+    for (; filled <= b; ++filled) first_[filled] = i;
+  }
+  for (; filled < buckets; ++filled) first_[filled] = count;
+
+  pairs_ = std::max<std::size_t>(1, (widest + 1) / 2);
+  padded_.resize(count + 2 * pairs_, std::numeric_limits<double>::quiet_NaN());
+  BMF_COUNTER_ADD("circuit.adc.wide_windows", pairs_ > 1 ? 1 : 0);
 }
 
 FlashAdc::FlashAdc(DesignStage stage, ProcessModel process,
@@ -121,32 +165,18 @@ Vector FlashAdc::measure(const DieVariations& v,
 
 namespace {
 
-/// Per-workspace capture scratch (see SimWorkspace::cache_as): the sorted
-/// thresholds and reconstructed waveform reach their full size on the first
-/// sample and are reused verbatim afterwards.
+/// Per-workspace capture scratch (see SimWorkspace::cache_as): the
+/// thresholds, the encoder's table and the reconstructed waveform reach
+/// their full size on the first sample and are reused verbatim afterwards.
 struct AdcScratch {
-  FlashAdc::DieVariations v;   ///< draw target for the workspace sample path
-  std::vector<double> sorted;  ///< sorted effective thresholds
-  std::vector<double> wave;    ///< reconstructed capture waveform
-  dsp::ToneScratch tone;       ///< FFT / spectrum buffers for analyze_tone
+  FlashAdc::DieVariations v;       ///< draw target for the workspace path
+  std::vector<double> thresholds;  ///< effective thresholds, unsorted
+  ThermometerEncoder encoder;      ///< the die's buckets and sorted thresholds
+  std::vector<double> wave;        ///< reconstructed capture waveform
+  dsp::ToneScratch tone;           ///< FFT / spectrum buffers for analyze_tone
 };
 
 }  // namespace
-
-std::size_t FlashAdc::thermometer_code(const std::vector<double>& sorted,
-                                       double vin) const {
-  const std::size_t count = sorted.size();
-  const double ideal = (vin - design_.v_low) / lsb_;
-  std::size_t code = 0;  // also the start for NaN, which then walks to count
-  if (ideal >= static_cast<double>(count)) {
-    code = count;
-  } else if (ideal > 0.0) {
-    code = static_cast<std::size_t>(ideal);
-  }
-  while (code < count && !(vin < sorted[code])) ++code;
-  while (code > 0 && vin < sorted[code - 1]) --code;
-  return code;
-}
 
 void FlashAdc::measure_into(const DieVariations& v, stats::Xoshiro256pp* rng,
                             SimWorkspace& ws) const {
@@ -157,17 +187,14 @@ void FlashAdc::measure_into(const DieVariations& v, stats::Xoshiro256pp* rng,
   double noise_rms = design_.input_noise_rms;
   if (post_layout_) noise_rms *= parasitics_.noise_inflation;
 
-  // Sorted effective thresholds: the output code of a ones-counting
-  // (bubble-tolerant) thermometer encoder equals the number of thresholds
-  // at or below the input.
-  std::vector<double>& sorted = scratch.sorted;
-  thresholds_into(v, sorted);
-  std::sort(sorted.begin(), sorted.end());
+  thresholds_into(v, scratch.thresholds);
+  ThermometerEncoder& encoder = scratch.encoder;
+  encoder.build(scratch.thresholds, design_.v_low, lsb_);
 
-  // The capture's noise draws get a pass of their own, into `wave`, which
-  // the encode pass then overwrites with codes: kept apart from the code
-  // walks, no mispredicted walk can discard the log -> sqrt -> divide
-  // chains of draws already in flight.
+  // The capture's noise draws, the encoder inputs and the codes each get a
+  // pass of their own over `wave`: no encode step can then stall the
+  // log -> sqrt -> divide chains of draws in flight, and the input pass,
+  // free of table lookups, runs on vector lanes.
   std::vector<double>& wave = scratch.wave;
   wave.resize(n);
   const bool noisy = rng != nullptr && noise_rms > 0.0;
@@ -178,9 +205,11 @@ void FlashAdc::measure_into(const DieVariations& v, stats::Xoshiro256pp* rng,
     if (noisy) x += wave[t];
     // Input buffer compression (see FlashAdcDesign::buffer_hd3).
     const double xn = x / halfspan;
-    const double vin = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);
-    // Ideal back-end DAC for analysis.
-    wave[t] = static_cast<double>(thermometer_code(sorted, vin)) * lsb_;
+    wave[t] = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);
+  }
+  // Ideal back-end DAC for analysis.
+  for (double& w : wave) {
+    w = static_cast<double>(encoder.code(w)) * lsb_;
   }
 
   dsp::ToneAnalysisConfig cfg;
@@ -227,8 +256,8 @@ std::vector<int> FlashAdc::capture_codes(const DieVariations& v,
   double noise_rms = design_.input_noise_rms;
   if (post_layout_) noise_rms *= parasitics_.noise_inflation;
 
-  std::vector<double> sorted = thresholds(v);
-  std::sort(sorted.begin(), sorted.end());
+  ThermometerEncoder encoder;
+  encoder.build(thresholds(v), design_.v_low, lsb_);
 
   std::vector<int> codes(points);
   for (std::size_t t = 0; t < points; ++t) {
@@ -240,7 +269,7 @@ std::vector<int> FlashAdc::capture_codes(const DieVariations& v,
     }
     const double xn = x / halfspan;
     const double vin = vmid + x * (1.0 + design_.buffer_hd3 * xn * xn);
-    codes[t] = static_cast<int>(thermometer_code(sorted, vin));
+    codes[t] = static_cast<int>(encoder.code(vin));
   }
   return codes;
 }

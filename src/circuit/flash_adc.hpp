@@ -14,12 +14,110 @@
 // they are strongly correlated — matching the paper's setting.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "circuit/montecarlo.hpp"
 #include "circuit/process.hpp"
 #include "circuit/stage.hpp"
 #include "dsp/spectrum.hpp"
 
 namespace bmfusion::circuit {
+
+/// The ones-counting (bubble-tolerant) thermometer encoder of one die: the
+/// code of input `vin` is the number of comparator thresholds `s` with
+/// `!(vin < s)`, i.e. those at or below it (NaN input: all of them).
+///
+/// build() sorts the thresholds and splits the ladder into kBucketsPerLsb
+/// buckets per ideal LSB; code() reads, from a per-die table, where the
+/// input's bucket begins in the sorted thresholds and counts, two lanes at a
+/// time, how many of the thresholds in that bucket lie at or below the
+/// input. The count's width is the fullest bucket of the die, rounded up to
+/// whole lane pairs, so every input of a die runs the same loop. Storage is
+/// reused across build() calls: after the first die, building allocates
+/// nothing.
+class ThermometerEncoder {
+ public:
+  static constexpr std::size_t kBucketsPerLsb = 8;
+
+  /// Prepares the encoder for one die's `thresholds`, in any order; ±inf
+  /// thresholds are allowed, a NaN one throws ContractError. The buckets
+  /// tile a ladder of `thresholds.size() + 1` steps of `lsb` upward from
+  /// `v_low` (finite, lsb > 0); where they lie affects only the speed,
+  /// never a code.
+  void build(std::span<const double> thresholds, double v_low, double lsb);
+
+  /// The code of `vin` (any double). Requires a prior build(). Defined
+  /// here so that the capture's encode pass inlines it.
+  [[nodiscard]] std::size_t code(double vin) const {
+    const std::size_t start = first_[bucket(vin)];
+    const double* const window = padded_.data() + start;
+    const V2 x = {vin, vin};
+    // The first pair is peeled: on most dies it is the whole window, and
+    // the loop, whose trip count is fixed per die, then never runs.
+    M2 at_or_below = load(window) <= x;
+    for (std::size_t j = 1; j < pairs_; ++j) {
+      at_or_below += load(window + 2 * j) <= x;
+    }
+    const auto inside =
+        static_cast<std::size_t>(-(at_or_below[0] + at_or_below[1]));
+    return std::isnan(vin) ? count_ : start + inside;
+  }
+
+  /// Lane pairs code() compares per input: at least one, more only when
+  /// a bucket holds more than two thresholds.
+  [[nodiscard]] std::size_t window_pairs() const { return pairs_; }
+
+ private:
+  /// Two thresholds in 2-double GCC vector lanes (baseline SSE2 on x86-64,
+  /// scalar code on a target without such registers).
+  using V2 = double __attribute__((vector_size(16)));
+  /// Per-lane comparison results: all bits set where true.
+  using M2 = std::int64_t __attribute__((vector_size(16)));
+
+  /// Unaligned load: a window may start at any threshold.
+  static V2 load(const double* p) {
+    V2 v{};
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+
+  // Why the count is exact. bucket() is a chain of monotone operations: a
+  // correctly rounded subtraction of v_low_ and multiplication by the
+  // positive scale_, a clamp, and a truncating cast of a value the clamp
+  // has put in [0, last_bucket_]. So bucket(s) < bucket(vin) implies
+  // s < vin, and bucket(s) > bucket(vin) implies s > vin. build() files
+  // every threshold under the bucket this same function gives it, so the
+  // first_[b] thresholds of lower buckets all count, and those of higher
+  // buckets, in the window or past it, count none; for the input's own
+  // bucket `s <= vin` equals `!(vin < s)` when vin is not NaN. No rounding
+  // margin enters, so this holds whatever the magnitudes of v_low_, the
+  // lsb and the input.
+  [[nodiscard]] std::size_t bucket(double vin) const {
+    // max(0, u) comes first and maps NaN to bucket 0, so only a value in
+    // [0, last_bucket_] reaches the cast.
+    const double u =
+        std::min(std::max(0.0, (vin - v_low_) * scale_), last_bucket_);
+    return static_cast<std::size_t>(u);
+  }
+
+  double v_low_ = 0.0;
+  double scale_ = 1.0;        ///< buckets per volt
+  double last_bucket_ = 0.0;  ///< index of the top bucket
+  std::size_t count_ = 0;     ///< thresholds
+  std::size_t pairs_ = 1;     ///< lane pairs per window
+  /// Per bucket: how many thresholds lie in lower buckets, which is where
+  /// the bucket's window starts in padded_.
+  std::vector<std::size_t> first_;
+  /// The sorted thresholds and a NaN tail of 2 * pairs_ entries, which no
+  /// comparison counts, so that every window can be read whole.
+  std::vector<double> padded_;
+};
 
 /// Nominal flash ADC design (0.18 um, VDD = 1.8 V).
 struct FlashAdcDesign {
@@ -78,10 +176,10 @@ class FlashAdc final : public Testbench {
   [[nodiscard]] linalg::Vector sample_metrics(
       stats::Xoshiro256pp& rng) const override;
 
-  /// Buffer-reusing draw: the variation vectors, sorted thresholds, capture
-  /// waveform and tone-analysis buffers (FFT work array, twiddle table,
-  /// window) live in `ws`'s cached scratch, so a steady-state draw allocates
-  /// nothing. Bitwise identical to the allocating overload.
+  /// Buffer-reusing draw: the variation vectors, thresholds, encoder table,
+  /// capture waveform and tone-analysis buffers (FFT work array, twiddle
+  /// table, window) live in `ws`'s cached scratch, so a steady-state draw
+  /// allocates nothing. Bitwise identical to the allocating overload.
   [[nodiscard]] const linalg::Vector& sample_metrics(
       stats::Xoshiro256pp& rng, SimWorkspace& ws) const override;
 
@@ -123,26 +221,21 @@ class FlashAdc final : public Testbench {
   [[nodiscard]] linalg::Vector measure(const DieVariations& variations,
                                        stats::Xoshiro256pp* rng) const;
 
-  /// Workspace variant of measure(): the sorted-threshold and waveform
-  /// buffers come from `ws`'s cached scratch and the result lands in
-  /// `ws.metrics`. Bitwise identical to measure(). The capture's noise is
-  /// drawn in one pass (stats::sample_normal_into) before the encode pass,
-  /// consuming `rng` exactly as one sample_normal call per point would.
+  /// Workspace variant of measure(): the thresholds, the die's
+  /// ThermometerEncoder and the waveform come from `ws`'s cached scratch
+  /// and the result lands in `ws.metrics`. Bitwise identical to measure().
+  /// The capture runs in three passes over the waveform buffer: the noise
+  /// draws (stats::sample_normal_into, consuming `rng` exactly as one
+  /// sample_normal call per point would), the encoder inputs, and the codes,
+  /// which overwrite the inputs in place.
   void measure_into(const DieVariations& variations, stats::Xoshiro256pp* rng,
                     SimWorkspace& ws) const;
-
-  /// Output code of the ones-counting (bubble-tolerant) thermometer encoder
-  /// for input `vin`: the number of `sorted` thresholds at or below it, i.e.
-  /// the index of the first threshold above it (NaN: all of them). Starts
-  /// from the ideal ladder's code and walks to the exact count; mismatch
-  /// keeps the walk to a step or two.
-  [[nodiscard]] std::size_t thermometer_code(const std::vector<double>& sorted,
-                                             double vin) const;
 
   /// Raw output codes for a sine capture at an arbitrary amplitude (as a
   /// fraction of half the ladder span; > 1 clips, as the code-density
   /// linearity test requires). `rng` null = noise-free. `points` need not
-  /// be a power of two here (no FFT involved).
+  /// be a power of two here (no FFT involved). The codes come from the same
+  /// ThermometerEncoder as measure_into()'s.
   [[nodiscard]] std::vector<int> capture_codes(
       const DieVariations& variations, std::size_t points,
       double amplitude_fraction, stats::Xoshiro256pp* rng) const;

@@ -1,7 +1,10 @@
 #include "dsp/fft.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -35,26 +38,13 @@ void build_twiddles(std::size_t n, bool inverse, FftTwiddles& twiddles) {
   twiddles.inverse = inverse;
 }
 
-/// True when every component of `d` (n complex values) is finite with
-/// |x| <= 2^1000 / n. Then no butterfly can overflow: a stage grows the
-/// largest modulus at most twofold (|u +- x w| <= |u| + |x| |w|, and the
-/// recurrence twiddles have |w| within a few ulps per step of 1), so
-/// after log2(n) stages every modulus, product and sum stays below
-/// sqrt(2) 2^1000 up to rounding, far from 2^1024. Finite operands that
-/// never overflow never meet inf * 0 or inf - inf, so no NaN arises
-/// either, and the plain loop's NaN check could never fire. One
-/// branch-free pass; NaN fails the comparison.
-bool cannot_overflow(const double* d, std::size_t n) {
-  const double limit = std::ldexp(1.0, 1000) / static_cast<double>(n);
-  bool ok = true;
-  for (std::size_t j = 0; j < 2 * n; ++j) ok &= std::fabs(d[j]) <= limit;
-  return ok;
-}
-
 /// One complex value as a 2-double vector [re, im]. GCC/Clang vector
 /// extensions: baseline SSE2 on x86-64, plain scalar code where a target
 /// has no such registers; either way each lane is one IEEE operation.
 using V2 = double __attribute__((vector_size(16)));
+/// The same 16 bytes as two integers; comparisons of V2 yield one, with all
+/// bits set in a lane where the comparison holds.
+using M2 = std::int64_t __attribute__((vector_size(16)));
 
 /// Unaligned load/store: std::complex<double> arrays are only 8-aligned.
 V2 load(const double* p) {
@@ -64,6 +54,30 @@ V2 load(const double* p) {
 }
 
 void store(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
+
+/// True when every component of `d` (n complex values) is finite with
+/// |x| <= 2^1000 / n. Then no butterfly can overflow: a stage grows the
+/// largest modulus at most twofold (|u +- x w| <= |u| + |x| |w|, and the
+/// recurrence twiddles have |w| within a few ulps per step of 1), so
+/// after log2(n) stages every modulus, product and sum stays below
+/// sqrt(2) 2^1000 up to rounding, far from 2^1024. Finite operands that
+/// never overflow never meet inf * 0 or inf - inf, so no NaN arises
+/// either, and the plain loop's NaN check could never fire. One
+/// branch-free pass over 2-double lanes: |x| by clearing the sign bit,
+/// then the lane masks of `|x| <= limit` ANDed together; NaN fails the
+/// comparison.
+bool cannot_overflow(const double* d, std::size_t n) {
+  const double limit = std::ldexp(1.0, 1000) / static_cast<double>(n);
+  const V2 bound = {limit, limit};
+  const M2 magnitude_bits = {std::numeric_limits<std::int64_t>::max(),
+                             std::numeric_limits<std::int64_t>::max()};
+  M2 ok = {-1, -1};
+  for (std::size_t k = 0; k < n; ++k) {
+    const M2 bits = std::bit_cast<M2>(load(d + 2 * k)) & magnitude_bits;
+    ok &= std::bit_cast<V2>(bits) <= bound;
+  }
+  return (ok[0] & ok[1]) != 0;
+}
 
 /// A twiddle w = c + i s spread for the lane-wise product below.
 struct Twiddle {

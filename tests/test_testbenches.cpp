@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -271,8 +272,22 @@ std::vector<double> sorted_thresholds(const FlashAdc& adc,
   return sorted;
 }
 
-/// Every threshold exactly and its floating-point neighbours, inputs
-/// outside the ladder, infinities and NaN.
+/// The ideal ladder step of `adc`.
+double ideal_lsb(const FlashAdc& adc) {
+  return (adc.design().v_high - adc.design().v_low) /
+         static_cast<double>(adc.comparator_count() + 1);
+}
+
+ThermometerEncoder encoder_for(const FlashAdc& adc,
+                               const std::vector<double>& thresholds) {
+  ThermometerEncoder encoder;
+  encoder.build(thresholds, adc.design().v_low, ideal_lsb(adc));
+  return encoder;
+}
+
+/// Every threshold exactly and its floating-point neighbours, every bucket
+/// edge and its neighbours, inputs outside the ladder, ±DBL_MAX,
+/// infinities and NaN.
 void expect_code_matches_search(const FlashAdc& adc,
                                 const std::vector<double>& sorted) {
   const double inf = std::numeric_limits<double>::infinity();
@@ -286,8 +301,20 @@ void expect_code_matches_search(const FlashAdc& adc,
     inputs.push_back(t);
     inputs.push_back(std::nextafter(t, inf));
   }
+  const double bucket_width =
+      ideal_lsb(adc) / static_cast<double>(ThermometerEncoder::kBucketsPerLsb);
+  const std::size_t buckets =
+      (sorted.size() + 1) * ThermometerEncoder::kBucketsPerLsb;
+  for (std::size_t b = 0; b <= buckets; ++b) {
+    const double edge =
+        adc.design().v_low + static_cast<double>(b) * bucket_width;
+    inputs.push_back(std::nextafter(edge, -inf));
+    inputs.push_back(edge);
+    inputs.push_back(std::nextafter(edge, inf));
+  }
+  const ThermometerEncoder encoder = encoder_for(adc, sorted);
   for (const double vin : inputs) {
-    EXPECT_EQ(adc.thermometer_code(sorted, vin), upper_bound_code(sorted, vin))
+    EXPECT_EQ(encoder.code(vin), upper_bound_code(sorted, vin))
         << "vin=" << vin;
   }
 }
@@ -312,6 +339,37 @@ TEST_F(FlashAdcFixture, ThermometerCodeCountsEqualThresholds) {
   expect_code_matches_search(schematic_, sorted);
   sorted[32] = sorted[30];
   expect_code_matches_search(schematic_, sorted);
+  // Six in one bucket: the window spans three lane pairs.
+  std::fill(sorted.begin() + 33, sorted.begin() + 36, sorted[30]);
+  EXPECT_GE(encoder_for(schematic_, sorted).window_pairs(), 3u);
+  expect_code_matches_search(schematic_, sorted);
+}
+
+TEST_F(FlashAdcFixture, ThermometerEncoderThresholdDomain) {
+  stats::Xoshiro256pp rng(25);
+  const FlashAdc::DieVariations die = schematic_.sample_variations(rng);
+  std::vector<double> sorted = sorted_thresholds(schematic_, die);
+  // A comparator that always trips (-inf) or never does (+inf) is legal.
+  const double inf = std::numeric_limits<double>::infinity();
+  sorted.front() = -inf;
+  sorted.back() = inf;
+  expect_code_matches_search(schematic_, sorted);
+  // The bucket map must rise with the input.
+  ThermometerEncoder encoder;
+  EXPECT_THROW(encoder.build(sorted, schematic_.design().v_low, 0.0),
+               ContractError);
+  EXPECT_THROW(encoder.build(sorted, schematic_.design().v_low, -0.02),
+               ContractError);
+  // A NaN threshold has no place among the sorted ones.
+  sorted[10] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      encoder.build(sorted, schematic_.design().v_low, ideal_lsb(schematic_)),
+      ContractError);
+  FlashAdc::DieVariations bad = die;
+  bad.comparator_offsets[10] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)schematic_.measure(bad, nullptr), ContractError);
+  EXPECT_THROW((void)schematic_.capture_codes(bad, 64, 0.9, nullptr),
+               ContractError);
 }
 
 /// capture_codes' waveform (carrier, noise, buffer compression) with the
@@ -360,6 +418,37 @@ TEST_F(FlashAdcFixture, ClippingCaptureCodesMatchBinarySearch) {
     const int full_scale = static_cast<int>(adc->comparator_count());
     EXPECT_GT(std::count(codes.begin(), codes.end(), 0), 0);
     EXPECT_GT(std::count(codes.begin(), codes.end(), full_scale), 0);
+  }
+}
+
+TEST_F(FlashAdcFixture, DesignCaptureCodesMatchBinarySearch) {
+  // The Monte Carlo capture: design amplitude, input noise, 200 dies per
+  // stage, every code against the binary search. The tiny-device design's
+  // offsets of several LSB crowd more thresholds into some buckets.
+  FlashAdcDesign tiny;
+  tiny.comparator_pair = {0.4e-6, 0.2e-6};
+  const FlashAdc sloppy(DesignStage::kSchematic, ProcessModel::cmos180(),
+                        tiny);
+  const double post_atten = FlashAdcParasitics{}.input_attenuation;
+  using Bench = std::pair<const FlashAdc*, double>;
+  for (const auto& [adc, atten] : {Bench{&schematic_, 1.0},
+                                   Bench{&post_, post_atten},
+                                   Bench{&sloppy, 1.0}}) {
+    const double amplitude = adc->design().amplitude_fraction;
+    std::size_t mismatched_codes = 0;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      stats::Xoshiro256pp rng = sample_rng(2061, i);
+      const FlashAdc::DieVariations die = adc->sample_variations(rng);
+      stats::Xoshiro256pp ref_rng = rng;
+      const std::vector<int> codes =
+          adc->capture_codes(die, 4096, amplitude, &rng);
+      const std::vector<int> reference = reference_capture_codes(
+          *adc, atten, die, 4096, amplitude, &ref_rng);
+      for (std::size_t t = 0; t < codes.size(); ++t) {
+        mismatched_codes += codes[t] != reference[t] ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(mismatched_codes, 0u);
   }
 }
 
