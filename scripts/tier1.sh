@@ -15,8 +15,9 @@
 # suite (the flash-ADC encoder indexes its raw bucket table and lane
 # buffers), the circuit solver suite (the op-amp's AC sweep kernel indexes
 # raw lane buffers), and
-# the serve and common suites (the request decoders index raw payload bytes
-# and the JSON parser counts its nesting depth), and finally a
+# the serve and common suites (the request decoders index raw payload bytes;
+# the JSON parser counts its nesting depth and reads numbers with from_chars
+# straight from the text, a pointer range into the request), and finally a
 # ThreadSanitizer build covering the telemetry shard-merge tests (per-thread
 # shards + merge-on-read), the log sinks, the full serve suite (epoll I/O
 # threads trading connections, atomic stop flags, the stop/wait handshake),
@@ -128,6 +129,9 @@ else
   # Serve protocol and JSON parser: both wire modes decode into one typed
   # request, so the golden transcript, the truncated/trailing/wrapped binary
   # payloads and the nesting cap walk every decoder byte with ASan watching.
+  # test_common holds the JsonParse.* suite (values, the number grammar and
+  # malformed numbers, which end the from_chars range mid-token) and the
+  # writer/parser round trip over 10^6 doubles.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/test_serve
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \

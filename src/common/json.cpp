@@ -1,9 +1,11 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "common/contracts.hpp"
 
@@ -291,9 +293,20 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result read = std::from_chars(first, last, value);
+    if (read.ptr == last && read.ec == std::errc{}) {
+      return JsonValue::make_number(value);
+    }
+    // from_chars reads strtod's grammar minus a leading '+', and reports
+    // overflow and underflow where strtod answers +-inf and 0. strtod reads
+    // what from_chars declines; both round correctly, so a number has the
+    // same bits whichever of them reads it.
+    const std::string token(first, last);
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
+    value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("malformed number '" + token + "'");
     return JsonValue::make_number(value);
   }

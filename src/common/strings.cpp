@@ -1,8 +1,9 @@
 #include "common/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <cstdio>
+
+#include "telemetry/decimal.hpp"
 
 namespace bmfusion {
 
@@ -41,11 +42,9 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 }
 
 std::string format_double(double value, int digits) {
-  if (digits < 1) digits = 1;
-  if (digits > 17) digits = 17;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
-  return std::string(buf);
+  std::string out;
+  telemetry::append_double(out, value, std::clamp(digits, 1, 17));
+  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -16,8 +16,9 @@ std::string_view trim(std::string_view text);
 /// True when `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
-/// Formats `value` with `digits` significant digits (shortest of fixed /
-/// scientific that fits), suitable for aligned console tables.
+/// Formats `value` as printf's %.{digits}g, `digits` clamped to [1, 17]
+/// (telemetry::append_double writes it). The default 6 suits aligned
+/// console tables; 17 round-trips every double.
 std::string format_double(double value, int digits = 6);
 
 /// Joins the elements of `parts` with `sep` between them.

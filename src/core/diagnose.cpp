@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -10,24 +9,19 @@
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
+#include "telemetry/decimal.hpp"
 
 namespace bmfusion::core {
 
 namespace {
 
-std::string format_double(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+/// Six significant digits for the report's prose and tables.
+std::string format_brief(double v) { return telemetry::format_metric(v, 6); }
 
+/// JSON has no literal for a non-finite number; null stands in.
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  return std::isfinite(v) ? format_double(v, 17) : "null";
 }
 
 std::string json_escape(const std::string& s) {
@@ -75,6 +69,7 @@ constexpr const char* kHealthCounters[] = {
     "fusion.observed_samples",
     "fusion.absorbed_shards",
     "fusion.snapshots",
+    "fusion.snapshot_reuses",
     "fusion.corner_samples",
     "serve.requests",
     "serve.observed_samples",
@@ -117,10 +112,10 @@ void ingest_snapshot_value(const JsonValue& snapshot,
     report.cv_disqualified_ratio = disqualified / grid_points;
     if (*report.cv_disqualified_ratio > thresholds.max_disqualified_ratio) {
       std::ostringstream os;
-      os << "cv disqualified " << format_double(disqualified) << " of "
-         << format_double(grid_points) << " grid points ("
-         << format_double(100.0 * *report.cv_disqualified_ratio)
-         << "%), above the " << format_double(
+      os << "cv disqualified " << format_brief(disqualified) << " of "
+         << format_brief(grid_points) << " grid points ("
+         << format_brief(100.0 * *report.cv_disqualified_ratio)
+         << "%), above the " << format_brief(
                 100.0 * thresholds.max_disqualified_ratio)
          << "% threshold";
       report.findings.push_back(os.str());
@@ -147,11 +142,11 @@ void ingest_snapshot_value(const JsonValue& snapshot,
           thresholds.min_mc_parallel_efficiency) {
         std::ostringstream os;
         os << "monte carlo parallel efficiency "
-           << format_double(*report.mc_parallel_efficiency) << " on "
-           << format_double(threads)
+           << format_brief(*report.mc_parallel_efficiency) << " on "
+           << format_brief(threads)
            << " thread(s): workers sat idle for a large fraction of the "
               "run, below the "
-           << format_double(thresholds.min_mc_parallel_efficiency)
+           << format_brief(thresholds.min_mc_parallel_efficiency)
            << " floor";
         report.findings.push_back(os.str());
       }
@@ -210,21 +205,21 @@ void ingest_snapshot_value(const JsonValue& snapshot,
   const double failures = counters->number_or("circuit.dc.failures", 0.0);
   if (failures > 0.0) {
     report.findings.push_back("dc solver failed to converge " +
-                              format_double(failures) + " time(s)");
+                              format_brief(failures) + " time(s)");
   }
   const double damped =
       counters->number_or("circuit.dc.damped_ladder_solves", 0.0);
   if (damped > 0.0) {
     report.findings.push_back(
         "dc solver escalated to the damped (last-resort) ladder " +
-        format_double(damped) + " time(s)");
+        format_brief(damped) + " time(s)");
   }
   const double ldlt_fallback =
       counters->number_or("core.loglik.fallback_ldlt", 0.0);
   if (ldlt_fallback > 0.0) {
     report.findings.push_back(
         "likelihood scoring hit the clamped-LDLT last resort " +
-        format_double(ldlt_fallback) + " time(s)");
+        format_brief(ldlt_fallback) + " time(s)");
   }
 
   // Serve-plane state: surface every serve.* gauge (session counts,
@@ -239,7 +234,7 @@ void ingest_snapshot_value(const JsonValue& snapshot,
   }
   const double slow = counters->number_or("serve.slow_requests", 0.0);
   if (slow > 0.0) {
-    report.findings.push_back(format_double(slow) +
+    report.findings.push_back(format_brief(slow) +
                               " slow serve request(s) over the configured "
                               "--slow-request-us threshold");
   }
@@ -262,8 +257,8 @@ void ingest_snapshot_value(const JsonValue& snapshot,
                        kLatencySuffix.size(), kLatencySuffix) == 0 &&
           q.p99 > thresholds.max_serve_p99_ms * 1000.0) {
         std::ostringstream os;
-        os << name << " p99 is " << format_double(q.p99 * 1e-3)
-           << " ms, above the " << format_double(thresholds.max_serve_p99_ms)
+        os << name << " p99 is " << format_brief(q.p99 * 1e-3)
+           << " ms, above the " << format_brief(thresholds.max_serve_p99_ms)
            << " ms budget";
         report.findings.push_back(os.str());
       }
@@ -316,7 +311,7 @@ void ingest_log(const std::string& path, RunReport& report) {
     }
   }
   if (summary.error > 0) {
-    report.findings.push_back(format_double(
+    report.findings.push_back(format_brief(
                                   static_cast<double>(summary.error)) +
                               " error-level log event(s) recorded");
   }
@@ -377,9 +372,9 @@ void ingest_bench(const std::string& path, RunReport& report,
     if (delta.regression) {
       std::ostringstream os;
       os << "bench regression: " << metric << " went "
-         << format_double(prev) << " -> " << format_double(cur) << " ("
+         << format_brief(prev) << " -> " << format_brief(cur) << " ("
          << (delta.delta_pct >= 0 ? "+" : "")
-         << format_double(delta.delta_pct) << "%)";
+         << format_brief(delta.delta_pct) << "%)";
       report.findings.push_back(os.str());
     }
     report.bench_deltas.push_back(delta);
@@ -451,20 +446,20 @@ std::string RunReport::to_markdown() const {
     out << "## Numeric health\n\n";
     append_markdown_table_header(out, {"counter", "value"});
     for (const CounterReading& c : health_counters) {
-      out << "| " << c.name << " | " << format_double(c.value) << " |\n";
+      out << "| " << c.name << " | " << format_brief(c.value) << " |\n";
     }
     out << "\n";
     if (warm_start_hit_rate) {
       out << "Warm-start hit rate: "
-          << format_double(100.0 * *warm_start_hit_rate) << "%\n\n";
+          << format_brief(100.0 * *warm_start_hit_rate) << "%\n\n";
     }
     if (cv_disqualified_ratio) {
       out << "CV disqualified ratio: "
-          << format_double(100.0 * *cv_disqualified_ratio) << "%\n\n";
+          << format_brief(100.0 * *cv_disqualified_ratio) << "%\n\n";
     }
     if (mc_parallel_efficiency) {
       out << "Monte Carlo parallel efficiency: "
-          << format_double(100.0 * *mc_parallel_efficiency) << "%\n\n";
+          << format_brief(100.0 * *mc_parallel_efficiency) << "%\n\n";
     }
   }
 
@@ -474,8 +469,8 @@ std::string RunReport::to_markdown() const {
                                  {"histogram", "count", "p50", "p95", "p99"});
     for (const HistogramQuantiles& h : histograms) {
       out << "| " << h.name << " | " << h.count << " | "
-          << format_double(h.p50) << " | " << format_double(h.p95) << " | "
-          << format_double(h.p99) << " |\n";
+          << format_brief(h.p50) << " | " << format_brief(h.p95) << " | "
+          << format_brief(h.p99) << " |\n";
     }
     out << "\n";
   }
@@ -505,14 +500,14 @@ std::string RunReport::to_markdown() const {
     out << "- populations: " << f.populations << " (" << f.observed_populations
         << " observed)\n";
     out << "- pooled signal variance tau^2: "
-        << format_double(f.signal_variance) << "\n";
-    out << "- correlation shrinkage lambda: " << format_double(f.shrinkage)
-        << ", mean |rho|: " << format_double(f.mean_abs_correlation) << "\n";
+        << format_brief(f.signal_variance) << "\n";
+    out << "- correlation shrinkage lambda: " << format_brief(f.shrinkage)
+        << ", mean |rho|: " << format_brief(f.mean_abs_correlation) << "\n";
     if (!f.population_samples.empty()) {
       out << "\n";
       append_markdown_table_header(out, {"population", "samples"});
       for (const auto& [index, samples] : f.population_samples) {
-        out << "| " << index << " | " << format_double(samples) << " |\n";
+        out << "| " << index << " | " << format_brief(samples) << " |\n";
       }
     }
     out << "\n";
@@ -522,7 +517,7 @@ std::string RunReport::to_markdown() const {
     out << "## Serve plane\n\n";
     append_markdown_table_header(out, {"gauge", "value"});
     for (const CounterReading& g : serve_gauges) {
-      out << "| " << g.name << " | " << format_double(g.value) << " |\n";
+      out << "| " << g.name << " | " << format_brief(g.value) << " |\n";
     }
     out << "\n";
   }
@@ -530,17 +525,17 @@ std::string RunReport::to_markdown() const {
   if (!cv_surface.empty()) {
     out << "## CV score surface\n\n";
     if (cv_best) {
-      out << "Best: score " << format_double(cv_best->score) << " at kappa0="
-          << format_double(cv_best->kappa0)
-          << ", nu0=" << format_double(cv_best->nu0) << "\n\n";
+      out << "Best: score " << format_brief(cv_best->score) << " at kappa0="
+          << format_brief(cv_best->kappa0)
+          << ", nu0=" << format_brief(cv_best->nu0) << "\n\n";
     }
     append_markdown_table_header(out, {"kappa0", "nu0", "score"});
     constexpr std::size_t kMaxRows = 10;
     const std::size_t rows = std::min(cv_surface.size(), kMaxRows);
     for (std::size_t i = 0; i < rows; ++i) {
       const CvSurfacePoint& p = cv_surface[i];
-      out << "| " << format_double(p.kappa0) << " | " << format_double(p.nu0)
-          << " | " << format_double(p.score) << " |\n";
+      out << "| " << format_brief(p.kappa0) << " | " << format_brief(p.nu0)
+          << " | " << format_brief(p.score) << " |\n";
     }
     if (cv_surface.size() > kMaxRows) {
       out << "\n(" << cv_surface.size() - kMaxRows
@@ -554,9 +549,9 @@ std::string RunReport::to_markdown() const {
     append_markdown_table_header(
         out, {"metric", "previous", "current", "delta", "status"});
     for (const BenchDelta& d : bench_deltas) {
-      out << "| " << d.metric << " | " << format_double(d.previous) << " | "
-          << format_double(d.current) << " | "
-          << (d.delta_pct >= 0 ? "+" : "") << format_double(d.delta_pct)
+      out << "| " << d.metric << " | " << format_brief(d.previous) << " | "
+          << format_brief(d.current) << " | "
+          << (d.delta_pct >= 0 ? "+" : "") << format_brief(d.delta_pct)
           << "% | " << (d.regression ? "REGRESSION" : "ok") << " |\n";
     }
     out << "\n";

@@ -102,33 +102,43 @@ void MultiPopulationEstimator::set_correlation(const linalg::Matrix& raw) {
   BMFUSION_REQUIRE(
       raw.rows() == estimators_.size() && raw.cols() == estimators_.size(),
       "correlation matrix must be N x N for N populations");
+  snapshot_cache_.reset();
   correlation_ =
       shrink_correlation(raw, config_.shrinkage, config_.min_eigenvalue);
 }
 
 void MultiPopulationEstimator::set_nominal(std::size_t p,
                                            const linalg::Vector& nominal) {
-  estimators_[require_population(p, "set_nominal")].set_nominal(nominal);
+  core::BmfEstimator& target =
+      estimators_[require_population(p, "set_nominal")];
+  snapshot_cache_.reset();
+  target.set_nominal(nominal);
   specs_[p].late_nominal = nominal;
 }
 
 void MultiPopulationEstimator::observe(std::size_t p,
                                        const linalg::Vector& sample) {
-  estimators_[require_population(p, "observe")].observe(sample);
+  core::BmfEstimator& target = estimators_[require_population(p, "observe")];
+  snapshot_cache_.reset();
+  target.observe(sample);
   BMF_COUNTER_ADD("fusion.observed_samples", 1);
   record_population_samples(p, estimators_[p].observed_count());
 }
 
 void MultiPopulationEstimator::observe(std::size_t p,
                                        const linalg::Matrix& samples) {
-  estimators_[require_population(p, "observe")].observe(samples);
+  core::BmfEstimator& target = estimators_[require_population(p, "observe")];
+  snapshot_cache_.reset();
+  target.observe(samples);
   BMF_COUNTER_ADD("fusion.observed_samples", samples.rows());
   record_population_samples(p, estimators_[p].observed_count());
 }
 
 void MultiPopulationEstimator::absorb(std::size_t p,
                                       const stats::SufficientStats& stats) {
-  estimators_[require_population(p, "absorb")].absorb(stats);
+  core::BmfEstimator& target = estimators_[require_population(p, "absorb")];
+  snapshot_cache_.reset();
+  target.absorb(stats);
   BMF_COUNTER_ADD("fusion.observed_samples", stats.count());
   record_population_samples(p, estimators_[p].observed_count());
 }
@@ -136,6 +146,7 @@ void MultiPopulationEstimator::absorb(std::size_t p,
 void MultiPopulationEstimator::absorb(const stats::StatsShard& shard) {
   const std::size_t p = require_population(
       static_cast<std::size_t>(shard.population_id), "absorb_shard");
+  snapshot_cache_.reset();
   estimators_[p].absorb(shard);
   BMF_COUNTER_ADD("fusion.absorbed_shards", 1);
   BMF_COUNTER_ADD("fusion.observed_samples", shard.count());
@@ -149,6 +160,7 @@ void MultiPopulationEstimator::merge(const MultiPopulationEstimator& other) {
     BMFUSION_REQUIRE(specs_[p].name == other.specs_[p].name,
                      "merge needs identical population layouts");
   }
+  snapshot_cache_.reset();
   for (std::size_t p = 0; p < estimators_.size(); ++p) {
     estimators_[p].merge(other.estimators_[p]);
     record_population_samples(p, estimators_[p].observed_count());
@@ -175,6 +187,11 @@ const core::BmfEstimator& MultiPopulationEstimator::population(
 }
 
 FusionSnapshot MultiPopulationEstimator::snapshot() const {
+  BMF_COUNTER_ADD("fusion.snapshots", 1);
+  if (snapshot_cache_.has_value()) {
+    BMF_COUNTER_ADD("fusion.snapshot_reuses", 1);
+    return *snapshot_cache_;
+  }
   BMF_SPAN("fusion_snapshot");
   const std::size_t n = estimators_.size();
   const std::size_t dim = specs_.front().early.moments.dimension();
@@ -328,7 +345,6 @@ FusionSnapshot MultiPopulationEstimator::snapshot() const {
     slot.fused.moments = transforms[p].late.invert(slot.fused.scaled_moments);
   }
 
-  BMF_COUNTER_ADD("fusion.snapshots", 1);
   BMF_GAUGE_SET("fusion.populations", n);
   BMF_GAUGE_SET("fusion.observed_populations", out.observed_populations);
   BMF_GAUGE_SET("fusion.signal_variance", tau2);
@@ -343,7 +359,8 @@ FusionSnapshot MultiPopulationEstimator::snapshot() const {
     BMF_GAUGE_SET("fusion.mean_abs_correlation",
                   offdiag / static_cast<double>(n * (n - 1)));
   }
-  return out;
+  snapshot_cache_ = std::move(out);
+  return *snapshot_cache_;
 }
 
 }  // namespace bmfusion::fusion

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,11 @@ class MultiPopulationEstimator {
   /// Joint snapshot: independent and fused estimates for every population.
   /// Requires >= 1 observed population; populations whose own snapshot
   /// throws a typed error are contained (see PopulationEstimate::error).
+  /// The result is cached under MomentEstimator::snapshot()'s contract:
+  /// repeat calls on an unchanged estimator return a copy, every mutator
+  /// clears the cache before its first write, and a snapshot that throws
+  /// caches nothing. `fusion.snapshots` counts every call and
+  /// `fusion.snapshot_reuses` the copies.
   [[nodiscard]] FusionSnapshot snapshot() const;
 
  private:
@@ -157,6 +163,9 @@ class MultiPopulationEstimator {
   std::vector<PopulationSpec> specs_;
   std::vector<core::BmfEstimator> estimators_;
   linalg::Matrix correlation_;
+  /// Last snapshot() result; every mutator clears it before its first
+  /// write (mutable: snapshot() is const).
+  mutable std::optional<FusionSnapshot> snapshot_cache_;
 };
 
 }  // namespace bmfusion::fusion

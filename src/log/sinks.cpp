@@ -7,19 +7,11 @@
 #include <sstream>
 
 #include "telemetry/clock.hpp"
+#include "telemetry/decimal.hpp"
 
 namespace bmfusion::log {
 
 namespace {
-
-/// Shortest round-trip double formatting, mirroring the telemetry exporters.
-std::string format_double(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Strips the directory part so text lines show "dc.cpp:301", not the whole
 /// build-tree path.
@@ -52,12 +44,12 @@ void append_field_value(std::ostringstream& out, const Field& field,
       if (json) {
         // JSON has no literal for non-finite numbers; quote them.
         if (std::isfinite(field.value.real)) {
-          out << format_double(field.value.real);
+          out << telemetry::format_metric(field.value.real);
         } else {
-          out << '"' << format_double(field.value.real) << '"';
+          out << '"' << telemetry::format_metric(field.value.real) << '"';
         }
       } else {
-        out << format_double(field.value.real);
+        out << telemetry::format_metric(field.value.real);
       }
       break;
     case Field::Kind::kLiteral: {

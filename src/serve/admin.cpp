@@ -1,10 +1,10 @@
 #include "serve/admin.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "log/log.hpp"
 #include "serve/protocol.hpp"
 #include "telemetry/export.hpp"
@@ -13,14 +13,6 @@
 namespace bmfusion::serve {
 
 namespace {
-
-std::string format_double(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string http_response(int status, const char* reason,
                           const char* content_type, std::string_view body) {
@@ -45,7 +37,7 @@ std::string statusz_json(const SessionRegistry& sessions) {
   std::ostringstream out;
   out << "{\"ok\": true,\"server_version\": \""
       << json_escaped(kServerVersion) << "\",\"wire_version\": " << kWireVersion
-      << ",\"uptime_s\": " << format_double(process_uptime_s())
+      << ",\"uptime_s\": " << format_double(process_uptime_s(), 17)
       << ",\"build\": {\"telemetry\": "
       << (telemetry::enabled() ? "true" : "false")
       << ",\"log_min_level\": " << BMFUSION_LOG_MIN_LEVEL << "}";
@@ -67,8 +59,14 @@ std::string statusz_json(const SessionRegistry& sessions) {
   bool first = true;
   for (const auto& g : snapshot.gauges) {
     if (g.name.rfind("fusion.", 0) != 0) continue;
-    out << (first ? "" : ",") << "\"" << json_escaped(g.name)
-        << "\": " << format_double(g.value);
+    out << (first ? "" : ",") << "\"" << json_escaped(g.name) << "\": ";
+    if (std::isnan(g.value)) {
+      out << "NaN";
+    } else if (std::isinf(g.value)) {
+      out << (g.value > 0 ? "1e308" : "-1e308");
+    } else {
+      out << format_double(g.value, 17);
+    }
     first = false;
   }
   out << "}";

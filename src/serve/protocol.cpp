@@ -14,6 +14,7 @@
 #include "log/log.hpp"
 #include "stats/stat_wire.hpp"
 #include "telemetry/clock.hpp"
+#include "telemetry/decimal.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -121,23 +122,21 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-/// 17 significant digits round-trip doubles exactly; non-finite values
+/// A JSON number that parses back to the same bits; non-finite values
 /// (unselected hyper-parameters) have no JSON spelling and become null.
-void append_double(std::string& out, double value) {
-  if (!std::isfinite(value)) {
+void append_number(std::string& out, double value) {
+  if (std::isfinite(value)) {
+    telemetry::append_double(out, value);
+  } else {
     out += "null";
-    return;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
 }
 
 void append_vector(std::string& out, const Vector& v) {
   out += '[';
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i != 0) out += ',';
-    append_double(out, v[i]);
+    append_number(out, v[i]);
   }
   out += ']';
 }
@@ -149,7 +148,7 @@ void append_matrix(std::string& out, const Matrix& m) {
     out += '[';
     for (std::size_t c = 0; c < m.cols(); ++c) {
       if (c != 0) out += ',';
-      append_double(out, m(r, c));
+      append_number(out, m(r, c));
     }
     out += ']';
   }
@@ -176,11 +175,11 @@ void append_estimate(std::string& out, const core::EstimateResult& result) {
   out += ",\"covariance\":";
   append_matrix(out, result.moments.covariance);
   out += ",\"kappa0\":";
-  append_double(out, result.kappa0);
+  append_number(out, result.kappa0);
   out += ",\"nu0\":";
-  append_double(out, result.nu0);
+  append_number(out, result.nu0);
   out += ",\"score\":";
-  append_double(out, result.score);
+  append_number(out, result.score);
   out += '}';
 }
 
@@ -194,7 +193,7 @@ void append_fusion_estimate(std::string& out, const Session& session) {
   out += ",\"observed_populations\":" +
          std::to_string(snapshot.observed_populations);
   out += ",\"signal_variance\":";
-  append_double(out, snapshot.signal_variance);
+  append_number(out, snapshot.signal_variance);
   out += ",\"correlation\":";
   append_matrix(out, snapshot.correlation);
   out += ",\"populations\":[";
@@ -206,9 +205,9 @@ void append_fusion_estimate(std::string& out, const Session& session) {
     append_escaped(out, pop.name);
     out += "\",\"observed\":" + std::to_string(pop.observed);
     out += ",\"borrowed_kappa\":";
-    append_double(out, pop.borrowed_kappa);
+    append_number(out, pop.borrowed_kappa);
     out += ",\"anchor_shift\":";
-    append_double(out, pop.anchor_shift);
+    append_number(out, pop.anchor_shift);
     if (!pop.error.empty()) {
       out += ",\"error\":\"";
       append_escaped(out, pop.error);
@@ -233,7 +232,7 @@ void append_version_fields(std::string& out) {
   out += "\",\"wire_version\":";
   out += std::to_string(kWireVersion);
   out += ",\"uptime_s\":";
-  append_double(out, process_uptime_s());
+  append_number(out, process_uptime_s());
 }
 
 void handle_ping(SessionRegistry&, const Request&, Reply&) {}

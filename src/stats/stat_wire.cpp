@@ -1,11 +1,13 @@
 #include "stats/stat_wire.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "telemetry/decimal.hpp"
 
 namespace bmfusion::stats {
 namespace {
@@ -168,10 +170,35 @@ std::size_t common_dimension(const StatsShard& shard, const char* source) {
 
 // --- JSON helpers ----------------------------------------------------------
 
-void append_json_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+/// JSON has no literal for a non-finite number, so a shard holding one (a
+/// sum of squares past DBL_MAX, say) cannot be written as JSON: the
+/// DataError names the member, and the binary frame still carries the value.
+[[noreturn]] void non_finite_error(double value, std::string member) {
+  throw DataError(
+      "stats shard holds a non-finite value, which JSON cannot carry",
+      ErrorContext{}
+          .with_operation("shard_to_json")
+          .with_value(value)
+          .with_detail(std::move(member)));
+}
+
+/// Throws non_finite_error for the first non-finite value of `s`. `place()`
+/// spells the payload's JSON path ("folds[0].partial"), only when throwing.
+template <typename Place>
+void require_finite(const SufficientStats& s, const Place& place) {
+  const std::size_t d = s.dimension();
+  for (std::size_t r = 0; r < d; ++r) {
+    if (!std::isfinite(s.sum()[r])) {
+      non_finite_error(s.sum()[r], place() + ".sum");
+    }
+  }
+  for (std::size_t r = 0; r < d; ++r) {
+    for (std::size_t c = r; c < d; ++c) {
+      if (!std::isfinite(s.sum_outer()(r, c))) {
+        non_finite_error(s.sum_outer()(r, c), place() + ".sum_outer_upper");
+      }
+    }
+  }
 }
 
 void append_json_string(std::string& out, std::string_view s) {
@@ -204,7 +231,7 @@ void append_json_stats(std::string& out, const SufficientStats& s) {
   const std::size_t d = s.dimension();
   for (std::size_t r = 0; r < d; ++r) {
     if (r) out += ',';
-    append_json_double(out, s.sum()[r]);
+    telemetry::append_double(out, s.sum()[r]);
   }
   out += "],\"sum_outer_upper\":[";
   bool first = true;
@@ -212,7 +239,7 @@ void append_json_stats(std::string& out, const SufficientStats& s) {
     for (std::size_t c = r; c < d; ++c) {
       if (!first) out += ',';
       first = false;
-      append_json_double(out, s.sum_outer()(r, c));
+      telemetry::append_double(out, s.sum_outer()(r, c));
     }
   }
   out += "]}";
@@ -460,7 +487,10 @@ std::string shard_to_json(const StatsShard& shard) {
   out += ",\"nominal\":[";
   for (std::size_t r = 0; r < shard.nominal.size(); ++r) {
     if (r) out += ',';
-    append_json_double(out, shard.nominal[r]);
+    if (!std::isfinite(shard.nominal[r])) {
+      non_finite_error(shard.nominal[r], "nominal");
+    }
+    telemetry::append_double(out, shard.nominal[r]);
   }
   out += "],\"folds\":[";
   for (std::size_t f = 0; f < shard.folds.size(); ++f) {
@@ -474,12 +504,19 @@ std::string shard_to_json(const StatsShard& shard) {
       out += "{\"blocks\":";
       out += std::to_string(fold.runs()[i].blocks);
       out += ",\"stats\":";
+      require_finite(fold.runs()[i].stats, [&] {
+        return "folds[" + std::to_string(f) + "].runs[" + std::to_string(i) +
+               "].stats";
+      });
       append_json_stats(out, fold.runs()[i].stats);
       out += '}';
     }
     out += ']';
     if (fold.partial_count() > 0) {
       out += ",\"partial\":";
+      require_finite(fold.partial(), [&] {
+        return "folds[" + std::to_string(f) + "].partial";
+      });
       append_json_stats(out, fold.partial());
     }
     out += '}';

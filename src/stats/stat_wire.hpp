@@ -60,6 +60,8 @@ inline constexpr std::uint16_t kStatsWireVersion = 2;
 [[nodiscard]] StatsShard parse_shard(std::string_view bytes);
 
 /// JSON encoding of the same payload (one object, no trailing newline).
+/// Throws DataError naming the member when a value is non-finite: JSON has
+/// no literal for one (serialize_shard carries it).
 [[nodiscard]] std::string shard_to_json(const StatsShard& shard);
 
 /// Parses the JSON encoding. Throws DataError on malformed documents,

@@ -1,11 +1,12 @@
 #include "telemetry/export.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+
+#include "telemetry/decimal.hpp"
 
 #ifndef BMFUSION_TELEMETRY_ENABLED
 #define BMFUSION_TELEMETRY_ENABLED 1
@@ -23,15 +24,6 @@ std::string prometheus_name(const std::string& dotted) {
     out.push_back(c == '.' || c == '-' ? '_' : c);
   }
   return out;
-}
-
-/// Shortest round-trip double formatting; avoids iostream locale surprises.
-std::string format_double(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 std::string json_escape(const std::string& s) {
@@ -61,7 +53,7 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
   for (const auto& g : snapshot.gauges) {
     const std::string name = prometheus_name(g.name);
     out << "# TYPE " << name << " gauge\n";
-    out << name << ' ' << format_double(g.value) << '\n';
+    out << name << ' ' << format_metric(g.value) << '\n';
   }
   for (const auto& h : snapshot.histograms) {
     const std::string name = prometheus_name(h.name);
@@ -69,19 +61,19 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
     std::uint64_t cumulative = 0;
     for (std::size_t b = 0; b < h.data.bounds.size(); ++b) {
       cumulative += h.data.counts[b];
-      out << name << "_bucket{le=\"" << format_double(h.data.bounds[b])
+      out << name << "_bucket{le=\"" << format_metric(h.data.bounds[b])
           << "\"} " << cumulative << '\n';
     }
     out << name << "_bucket{le=\"+Inf\"} " << h.data.count << '\n';
-    out << name << "_sum " << format_double(h.data.sum) << '\n';
+    out << name << "_sum " << format_metric(h.data.sum) << '\n';
     out << name << "_count " << h.data.count << '\n';
     // Pre-computed quantiles from the fixed buckets, so dashboards without
     // recording rules still get latency percentiles.
-    out << name << "_p50 " << format_double(histogram_quantile(h.data, 0.50))
+    out << name << "_p50 " << format_metric(histogram_quantile(h.data, 0.50))
         << '\n';
-    out << name << "_p95 " << format_double(histogram_quantile(h.data, 0.95))
+    out << name << "_p95 " << format_metric(histogram_quantile(h.data, 0.95))
         << '\n';
-    out << name << "_p99 " << format_double(histogram_quantile(h.data, 0.99))
+    out << name << "_p99 " << format_metric(histogram_quantile(h.data, 0.99))
         << '\n';
   }
   return out.str();
@@ -115,7 +107,7 @@ std::string json_snapshot_impl(const MetricsSnapshot& snapshot, bool pretty) {
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     out << (i ? next_item : first_item) << '"'
         << json_escape(snapshot.gauges[i].name)
-        << "\": " << format_double(snapshot.gauges[i].value);
+        << "\": " << format_metric(snapshot.gauges[i].value);
   }
   out << (snapshot.gauges.empty() ? "}" : close_map);
   out << section << "\"histograms\": {";
@@ -124,17 +116,17 @@ std::string json_snapshot_impl(const MetricsSnapshot& snapshot, bool pretty) {
     out << (i ? next_item : first_item) << '"' << json_escape(h.name)
         << "\": {\"bounds\": [";
     for (std::size_t b = 0; b < h.data.bounds.size(); ++b) {
-      out << (b ? ", " : "") << format_double(h.data.bounds[b]);
+      out << (b ? ", " : "") << format_metric(h.data.bounds[b]);
     }
     out << "], \"counts\": [";
     for (std::size_t b = 0; b < h.data.counts.size(); ++b) {
       out << (b ? ", " : "") << h.data.counts[b];
     }
     out << "], \"count\": " << h.data.count
-        << ", \"sum\": " << format_double(h.data.sum)
-        << ", \"p50\": " << format_double(histogram_quantile(h.data, 0.50))
-        << ", \"p95\": " << format_double(histogram_quantile(h.data, 0.95))
-        << ", \"p99\": " << format_double(histogram_quantile(h.data, 0.99))
+        << ", \"sum\": " << format_metric(h.data.sum)
+        << ", \"p50\": " << format_metric(histogram_quantile(h.data, 0.50))
+        << ", \"p95\": " << format_metric(histogram_quantile(h.data, 0.95))
+        << ", \"p99\": " << format_metric(histogram_quantile(h.data, 0.99))
         << '}';
   }
   out << (snapshot.histograms.empty() ? "}" : close_map);
@@ -178,9 +170,9 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
     out << (i ? ",\n  " : "\n  ");
     out << "{\"name\": \"" << json_escape(e.name ? e.name : "?")
         << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << e.thread
-        << ", \"ts\": " << format_double(
+        << ", \"ts\": " << format_metric(
                static_cast<double>(e.start_ns - min_start) * 1e-3)
-        << ", \"dur\": " << format_double(
+        << ", \"dur\": " << format_metric(
                static_cast<double>(e.duration_ns) * 1e-3)
         << ", \"args\": {\"depth\": " << e.depth << "}}";
   }

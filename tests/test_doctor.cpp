@@ -1,8 +1,8 @@
-// Doctor / run-report engine contracts: the JSON value model and parser
-// (common/json.hpp), histogram quantile estimation (telemetry), and
-// diagnose_run() end to end over temp-file fixtures shaped exactly like the
-// artifacts bmf_cli and scripts/bench.sh leave behind — including a
-// synthetic degraded bench record that must be flagged as a regression.
+// Doctor / run-report engine contracts: histogram quantile estimation
+// (telemetry), and diagnose_run() end to end over temp-file fixtures shaped
+// exactly like the artifacts bmf_cli and scripts/bench.sh leave behind —
+// including a synthetic degraded bench record that must be flagged as a
+// regression. The JSON parser's own tests live in test_common.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -30,66 +30,6 @@ bool any_finding_contains(const RunReport& report, const std::string& text) {
     if (finding.find(text) != std::string::npos) return true;
   }
   return false;
-}
-
-// ------------------------------------------------------------ JSON parser
-
-TEST(JsonParse, ParsesScalarsArraysAndObjects) {
-  const JsonValue doc = parse_json(
-      R"({"a": 1.5, "b": [true, null, "x"], "c": {"n": -2e3}, "d": false})");
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.number_or("a", 0.0), 1.5);
-  const JsonValue* b = doc.find("b");
-  ASSERT_NE(b, nullptr);
-  ASSERT_TRUE(b->is_array());
-  ASSERT_EQ(b->as_array().size(), 3u);
-  EXPECT_TRUE(b->as_array()[0].as_bool());
-  EXPECT_TRUE(b->as_array()[1].is_null());
-  EXPECT_EQ(b->as_array()[2].as_string(), "x");
-  const JsonValue* c = doc.find("c");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->number_or("n", 0.0), -2000.0);
-  const JsonValue* d = doc.find("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_FALSE(d->as_bool());
-}
-
-TEST(JsonParse, DecodesEscapesAndUnicode) {
-  const JsonValue doc =
-      parse_json(R"({"s": "a\"b\\c\nd", "u": "A\u00e9B", "t": "\u0041"})");
-  EXPECT_EQ(doc.string_or("s", ""), "a\"b\\c\nd");
-  EXPECT_EQ(doc.string_or("u", ""), "A\xc3\xa9"
-                                    "B");
-  EXPECT_EQ(doc.string_or("t", ""), "A");
-}
-
-TEST(JsonParse, PreservesObjectMemberOrder) {
-  const JsonValue doc = parse_json(R"({"zz": 1, "aa": 2, "mm": 3})");
-  const JsonValue::Object& members = doc.as_object();
-  ASSERT_EQ(members.size(), 3u);
-  EXPECT_EQ(members[0].first, "zz");
-  EXPECT_EQ(members[1].first, "aa");
-  EXPECT_EQ(members[2].first, "mm");
-}
-
-TEST(JsonParse, MalformedInputThrowsDataError) {
-  EXPECT_THROW((void)parse_json("{"), DataError);
-  EXPECT_THROW((void)parse_json("[1, 2"), DataError);
-  EXPECT_THROW((void)parse_json("{\"a\": }"), DataError);
-  EXPECT_THROW((void)parse_json("true false"), DataError);  // trailing junk
-  EXPECT_THROW((void)parse_json(""), DataError);
-  EXPECT_THROW((void)parse_json("{\"a\": 1,}"), DataError);
-}
-
-TEST(JsonParse, KindMismatchAndMissingFileThrowDataError) {
-  const JsonValue doc = parse_json(R"({"n": 4})");
-  EXPECT_THROW((void)doc.as_array(), DataError);
-  EXPECT_THROW((void)doc.find("n")->as_string(), DataError);
-  EXPECT_EQ(doc.find("absent"), nullptr);
-  EXPECT_EQ(doc.number_or("absent", -1.0), -1.0);
-  EXPECT_EQ(doc.string_or("n", "fallback"), "fallback");
-  EXPECT_THROW((void)parse_json_file("/nonexistent/bmf_doctor.json"),
-               DataError);
 }
 
 // ------------------------------------------------------ histogram quantile
@@ -181,14 +121,17 @@ TEST(Diagnose, SnapshotSectionExtractsCountersRatesAndFindings) {
 
 TEST(Diagnose, SnapshotReuseCountersAreListed) {
   // Repeat estimates of unchanged streams are answered from the estimator's
-  // snapshot cache; the doctor lists both counters so the reuse share of a
-  // run (reuses / snapshots) is visible next to the CV grid counters.
+  // snapshot cache and the fusion engine's joint one; the doctor lists both
+  // pairs of counters so the reuse share of a run (reuses / snapshots) is
+  // visible next to the CV grid counters.
   const std::string snapshot = write_temp_file(
       "bmf_doctor_snapshot_reuse.json", R"({
         "counters": {
           "core.cv.grid_points": 864,
           "core.stream.snapshots": 40,
-          "core.stream.snapshot_reuses": 34
+          "core.stream.snapshot_reuses": 34,
+          "fusion.snapshots": 12,
+          "fusion.snapshot_reuses": 9
         }
       })");
   DoctorInputs inputs;
@@ -197,14 +140,20 @@ TEST(Diagnose, SnapshotReuseCountersAreListed) {
 
   double snapshots = -1.0;
   double reuses = -1.0;
+  double fusion_reuses = -1.0;
   for (const CounterReading& counter : report.health_counters) {
     if (counter.name == "core.stream.snapshots") snapshots = counter.value;
     if (counter.name == "core.stream.snapshot_reuses") reuses = counter.value;
+    if (counter.name == "fusion.snapshot_reuses") {
+      fusion_reuses = counter.value;
+    }
   }
   EXPECT_DOUBLE_EQ(snapshots, 40.0);
   EXPECT_DOUBLE_EQ(reuses, 34.0);
+  EXPECT_DOUBLE_EQ(fusion_reuses, 9.0);
   const std::string markdown = report.to_markdown();
   EXPECT_NE(markdown.find("core.stream.snapshot_reuses"), std::string::npos);
+  EXPECT_NE(markdown.find("fusion.snapshot_reuses"), std::string::npos);
   EXPECT_NE(parse_json(report.to_json()).find("health_counters")->find(
                 "core.stream.snapshots"),
             nullptr);

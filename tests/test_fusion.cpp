@@ -5,8 +5,10 @@
 // independent assertion on a correlated synthetic corner grid.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "linalg/vector.hpp"
 #include "stats/rng.hpp"
 #include "stats/stat_wire.hpp"
+#include "stats/sufficient_stats.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace bmfusion {
@@ -61,8 +64,11 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
 void expect_bitwise_equal(const EstimateResult& a, const EstimateResult& b) {
   EXPECT_EQ(max_abs_diff(a.moments.mean, b.moments.mean), 0.0);
   EXPECT_EQ(max_abs_diff(a.moments.covariance, b.moments.covariance), 0.0);
-  EXPECT_EQ(a.kappa0, b.kappa0);
-  EXPECT_EQ(a.nu0, b.nu0);
+  // Bits, not ==: an unobserved population's hyper-parameters are NaN.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.kappa0),
+            std::bit_cast<std::uint64_t>(b.kappa0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.nu0),
+            std::bit_cast<std::uint64_t>(b.nu0));
 }
 
 double next_gaussian(stats::Xoshiro256pp& rng) {
@@ -492,9 +498,11 @@ void expect_same_snapshot(const FusionSnapshot& a, const FusionSnapshot& b) {
   }
 }
 
-std::uint64_t grid_points() {
-  return telemetry::Registry::instance().counter("core.cv.grid_points").total();
+std::uint64_t counter_total(const char* name) {
+  return telemetry::Registry::instance().counter(name).total();
 }
+
+std::uint64_t grid_points() { return counter_total("core.cv.grid_points"); }
 
 /// Three correlated corners whose means drift apart in metric 0, each
 /// shipped as one 128-row shard, plus a second 64-row shard for population 1.
@@ -552,11 +560,114 @@ TEST(MultiPopulation, AbsorbAfterSnapshotRerunsOnlyThatPopulationsGrid) {
   for (const StatsShard& shard : data.first) fresh.absorb(shard);
   fresh.absorb(data.extra);
   expect_same_snapshot(after, fresh.snapshot());
+
+  // Every mutator, each after a cached joint snapshot: the next snapshot
+  // must equal a fresh estimator's fed the same calls, bit for bit, and
+  // re-run the grids of the populations the call touched, no others.
+  // Shift/scale is on so that a new nominal moves population 2's estimate
+  // (its shifted prior: it has no samples until a mutation adds some).
+  FusionConfig scaled = fast_config();
+  scaled.bmf.apply_shift_scale = true;
+  std::vector<PopulationSpec> specs = data.specs;
+  for (PopulationSpec& spec : specs) spec.late_nominal = spec.early.nominal;
+  stats::Xoshiro256pp rng(5200);
+  const auto rows = [&](std::size_t count, double shift) {
+    Vector mean = specs[0].early.moments.mean;
+    mean[0] += shift;
+    return gaussian_samples(count, mean, sigma_of(specs[0]), rng);
+  };
+  const Matrix rows0 = rows(96, 0.3);
+  const Matrix rows1 = rows(96, 0.6);
+  const Matrix extra_rows = rows(16, 0.6);
+  const Vector extra_row = rows(1, 0.3).row(0);
+  MultiPopulationEstimator producer(specs, scaled);
+  producer.observe(2, rows(64, 0.9));
+  const StatsShard shard2 = producer.export_shard(2, 30);
+  MultiPopulationEstimator sibling(specs, scaled);
+  sibling.observe(2, rows(48, 0.9));
+  Matrix weaker = Matrix::identity(3);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      if (r != c) weaker(r, c) = 0.3;
+    }
+  }
+  Vector moved = specs[2].late_nominal;
+  moved[0] += 0.25;
+
+  struct Mutation {
+    const char* name;
+    std::function<void(MultiPopulationEstimator&)> apply;
+    std::size_t grids;  ///< populations whose CV grid must re-run
+  };
+  const Mutation mutations[] = {
+      {"set_correlation",
+       [&](MultiPopulationEstimator& e) { e.set_correlation(weaker); }, 0},
+      {"set_nominal",
+       [&](MultiPopulationEstimator& e) { e.set_nominal(2, moved); }, 0},
+      {"observe(sample)",
+       [&](MultiPopulationEstimator& e) { e.observe(0, extra_row); }, 1},
+      {"observe(samples)",
+       [&](MultiPopulationEstimator& e) { e.observe(1, extra_rows); }, 1},
+      {"absorb(stats)",
+       [&](MultiPopulationEstimator& e) {
+         e.absorb(0, stats::SufficientStats::from_samples(extra_rows));
+       },
+       1},
+      {"absorb(shard)",
+       [&](MultiPopulationEstimator& e) { e.absorb(shard2); }, 1},
+      {"merge", [&](MultiPopulationEstimator& e) { e.merge(sibling); }, 1},
+  };
+  const auto feed = [&](MultiPopulationEstimator& e) {
+    e.set_correlation(data.correlation);
+    e.observe(0, rows0);
+    e.observe(1, rows1);
+  };
+  const std::size_t grid =
+      scaled.bmf.cv.kappa_points * scaled.bmf.cv.nu_points;
+  for (const Mutation& mutation : mutations) {
+    SCOPED_TRACE(mutation.name);
+    MultiPopulationEstimator mutated(specs, scaled);
+    feed(mutated);
+    (void)mutated.snapshot();
+    const std::uint64_t grid_before = grid_points();
+    mutation.apply(mutated);
+    const FusionSnapshot mutated_snapshot = mutated.snapshot();
+    if (telemetry::enabled()) {
+      EXPECT_EQ(grid_points() - grid_before, mutation.grids * grid);
+    }
+
+    MultiPopulationEstimator replayed(specs, scaled);
+    feed(replayed);
+    mutation.apply(replayed);
+    expect_same_snapshot(mutated_snapshot, replayed.snapshot());
+  }
+}
+
+TEST(MultiPopulation, RepeatSnapshotIsACopyAndAThrowingOneCachesNothing) {
+  const CornerShards data;
+  MultiPopulationEstimator fused(data.specs, fast_config());
+  fused.set_correlation(data.correlation);
+  const std::uint64_t reuses_before = counter_total("fusion.snapshot_reuses");
+  EXPECT_THROW((void)fused.snapshot(), ContractError);  // nothing observed
+  EXPECT_THROW((void)fused.snapshot(), ContractError);
+
+  for (const StatsShard& shard : data.first) fused.absorb(shard);
+  const FusionSnapshot first = fused.snapshot();
+  const std::uint64_t grid_before = grid_points();
+  const std::uint64_t snapshots_before = counter_total("fusion.snapshots");
+  const FusionSnapshot repeat = fused.snapshot();
+  expect_same_snapshot(first, repeat);
+  EXPECT_EQ(max_abs_diff(repeat.correlation, first.correlation), 0.0);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(grid_points(), grid_before);
+    EXPECT_EQ(counter_total("fusion.snapshots"), snapshots_before + 1);
+    EXPECT_EQ(counter_total("fusion.snapshot_reuses"), reuses_before + 1);
+  }
 }
 
 TEST(MultiPopulation, SetCorrelationAfterSnapshotChangesTheFusedResult) {
-  // The per-population estimates are reused, but the borrowing stages run
-  // on every snapshot, so a new correlation takes effect at once.
+  // set_correlation clears the joint snapshot cache, so a new correlation
+  // takes effect at once; the per-population estimates are reused.
   const CornerShards data;
   const FusionConfig config = fast_config();
   MultiPopulationEstimator cached(data.specs, config);

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -591,6 +592,43 @@ TEST(ServeProtocol, HandleRequestIsUsableWithoutTransport) {
   EXPECT_TRUE(shutdown.shutdown);
 }
 
+TEST(ServeProtocol, NonFiniteStatsAnswerDataErrorAsJsonAndRawAsBinary) {
+  // Finite samples whose sum of squares overflows: 1e200^2 is +inf. JSON
+  // has no literal for it, so the JSON stats answer is an in-band DataError
+  // (valid JSON naming the member); the binary frame carries the raw bits.
+  SessionRegistry sessions;
+  const auto json = [&](const std::string& line) {
+    return parse_json(serve::handle_request(sessions, line).response);
+  };
+  ASSERT_TRUE(is_ok(
+      json("{\"op\":\"open\",\"session\":\"big\",\"estimator\":\"mle\"}")));
+  ASSERT_TRUE(is_ok(json("{\"op\":\"observe\",\"session\":\"big\","
+                         "\"samples\":[[1e200,1],[-1e200,2]]}")));
+
+  const JsonValue answer = json("{\"op\":\"stats\",\"session\":\"big\"}");
+  EXPECT_FALSE(is_ok(answer));
+  EXPECT_EQ(error_type(answer), "DataError");
+  const std::string message =
+      answer.find("error")->string_or("message", "");
+  EXPECT_NE(message.find("folds[0]."), std::string::npos) << message;
+  EXPECT_NE(message.find("sum_outer_upper"), std::string::npos) << message;
+
+  std::string payload;
+  serve::wire::append_string(payload, "big");
+  serve::wire::append_u64(payload, 0);
+  const serve::BinaryResult binary = serve::handle_binary_request(
+      sessions, serve::wire::kStats, 0, payload);
+  ASSERT_GT(binary.response.size(), serve::wire::kHeaderBytes);
+  EXPECT_EQ(static_cast<unsigned char>(binary.response[2]), 0u);
+  const stats::StatsShard shard = stats::parse_shard(
+      std::string_view(binary.response).substr(serve::wire::kHeaderBytes));
+  EXPECT_EQ(shard.count(), 2u);
+  const stats::SufficientStats totals = shard.folds.at(0).totals();
+  EXPECT_EQ(totals.sum()[0], 0.0);
+  EXPECT_EQ(totals.sum_outer()(0, 0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(totals.sum_outer()(1, 1), 5.0);
+}
+
 /// Open request for a fusion session with `n` 2-D populations sharing one
 /// early prior, a fast CV grid, and a mildly correlated prior structure.
 std::string fusion_open_request(const std::string& session, std::size_t n) {
@@ -729,7 +767,8 @@ stats::StatsShard fold_shard(const Matrix& rows, std::uint64_t id,
 }
 
 /// The served {"mean","covariance","kappa0","nu0"} equal `expected` bit
-/// for bit (the protocol prints %.17g, which round-trips a double).
+/// for bit (the protocol prints %.17g, which round-trips a double; a
+/// non-finite hyper-parameter, such as an unobserved population's, is null).
 void expect_served_estimate(const JsonValue& served,
                             const core::EstimateResult& expected) {
   const auto& mean = served.find("mean")->as_array();
@@ -744,71 +783,119 @@ void expect_served_estimate(const JsonValue& served,
                 expected.moments.covariance(r, c));
     }
   }
-  EXPECT_EQ(served.number_or("kappa0", 0.0), expected.kappa0);
-  EXPECT_EQ(served.number_or("nu0", 0.0), expected.nu0);
+  for (const auto& [key, value] :
+       {std::pair{"kappa0", expected.kappa0}, std::pair{"nu0", expected.nu0}}) {
+    const JsonValue* member = served.find(key);
+    ASSERT_NE(member, nullptr) << key;
+    if (std::isfinite(value)) {
+      EXPECT_EQ(member->as_number(), value) << key;
+    } else {
+      EXPECT_TRUE(member->is_null()) << key;
+    }
+  }
+}
+
+/// A fusion estimate answer equals `expected`, population by population.
+void expect_served_fusion(const JsonValue& served,
+                          const fusion::FusionSnapshot& expected) {
+  EXPECT_EQ(served.number_or("signal_variance", -1.0),
+            expected.signal_variance);
+  const auto& populations = served.find("populations")->as_array();
+  ASSERT_EQ(populations.size(), expected.populations.size());
+  for (std::size_t p = 0; p < populations.size(); ++p) {
+    SCOPED_TRACE("population " + std::to_string(p));
+    const fusion::PopulationEstimate& slot = expected.populations[p];
+    EXPECT_EQ(populations[p].number_or("borrowed_kappa", -1.0),
+              slot.borrowed_kappa);
+    expect_served_estimate(*populations[p].find("fused"), slot.fused);
+    const JsonValue* independent = populations[p].find("independent");
+    ASSERT_EQ(independent != nullptr, slot.observed > 0);
+    if (independent != nullptr) {
+      expect_served_estimate(*independent, slot.independent);
+    }
+  }
 }
 
 TEST(ServeCache, EstimateAfterAbsorbIsFreshInBothWireModes) {
   // estimate -> absorb -> estimate: the second answer must be the snapshot
-  // of both shards, not the first estimate served from the cache.
-  const std::string open = bmf_open_request("c");
-  const stats::StatsShard first = fold_shard(test_samples(48, 2, 0.0), 1);
-  const stats::StatsShard second = fold_shard(test_samples(32, 2, 0.7), 2);
-  const auto reference = [&](std::size_t shards) {
-    auto estimator = serve::make_estimator(parse_json(open));
-    estimator->absorb(first);
-    if (shards == 2) estimator->absorb(second);
-    return estimator->snapshot();
-  };
+  // of both shards, not the first estimate served from the cache. A BMF
+  // session and a fusion session (the second shard lands in its other
+  // population) each run in both wire modes.
+  const Matrix first_rows = test_samples(48, 2, 0.0);
+  const Matrix second_rows = test_samples(32, 2, 0.7);
 
-  for (const bool binary : {false, true}) {
-    SCOPED_TRACE(binary ? "binary" : "json");
-    Server server;
-    server.start();
-    serve::LineClient client;
-    ASSERT_TRUE(client.connect_to(server.port()));
-    if (binary) ASSERT_TRUE(client.negotiate_binary());
-    const auto json = [&](const std::string& request) {
-      std::string text;
-      serve::Frame frame;
-      if (binary) {
-        EXPECT_TRUE(client.request_frame(serve::wire::kJson, request, frame));
-        text = frame.payload;
-      } else {
-        EXPECT_TRUE(client.request(request, text));
+  for (const bool fusion : {false, true}) {
+    const std::string open =
+        fusion ? fusion_open_request("c", 2) : bmf_open_request("c");
+    const stats::StatsShard first = fold_shard(first_rows, 1, 0);
+    const stats::StatsShard second = fold_shard(second_rows, 2, fusion ? 1 : 0);
+    const auto expect_reference = [&](const JsonValue& served,
+                                      std::size_t shards) {
+      if (fusion) {
+        auto estimator = serve::make_fusion_estimator(parse_json(open));
+        estimator->absorb(first);
+        if (shards == 2) estimator->absorb(second);
+        expect_served_fusion(served, estimator->snapshot());
+        return;
       }
-      return parse_json(text);
-    };
-    const auto absorb = [&](const stats::StatsShard& shard) {
-      if (!binary) {
-        return json("{\"op\":\"absorb\",\"session\":\"c\",\"shard\":" +
-                    stats::shard_to_json(shard) + "}")
-            .number_or("total", -1.0);
-      }
-      std::string payload;
-      serve::wire::append_string(payload, "c");
-      payload += stats::serialize_shard(shard);
-      serve::Frame frame;
-      EXPECT_TRUE(client.request_frame(serve::wire::kAbsorb, payload, frame));
-      EXPECT_TRUE(frame.ok());
-      std::uint64_t total = 0;
-      std::memcpy(&total, frame.payload.data() + 1, sizeof total);
-      return static_cast<double>(total);
+      auto estimator = serve::make_estimator(parse_json(open));
+      estimator->absorb(first);
+      if (shards == 2) estimator->absorb(second);
+      expect_served_estimate(*served.find("estimate"), estimator->snapshot());
     };
 
-    ASSERT_TRUE(is_ok(json(open)));
-    EXPECT_EQ(absorb(first), 48.0);
-    const JsonValue before = json("{\"op\":\"estimate\",\"session\":\"c\"}");
-    ASSERT_TRUE(is_ok(before));
-    EXPECT_EQ(before.number_or("count", 0.0), 48.0);
-    expect_served_estimate(*before.find("estimate"), reference(1));
+    for (const bool binary : {false, true}) {
+      SCOPED_TRACE(std::string(fusion ? "fusion, " : "bmf, ") +
+                   (binary ? "binary" : "json"));
+      Server server;
+      server.start();
+      serve::LineClient client;
+      ASSERT_TRUE(client.connect_to(server.port()));
+      if (binary) ASSERT_TRUE(client.negotiate_binary());
+      const auto json = [&](const std::string& request) {
+        std::string text;
+        serve::Frame frame;
+        if (binary) {
+          EXPECT_TRUE(
+              client.request_frame(serve::wire::kJson, request, frame));
+          text = frame.payload;
+        } else {
+          EXPECT_TRUE(client.request(request, text));
+        }
+        return parse_json(text);
+      };
+      const auto absorb = [&](const stats::StatsShard& shard) {
+        if (!binary) {
+          return json("{\"op\":\"absorb\",\"session\":\"c\",\"shard\":" +
+                      stats::shard_to_json(shard) + "}")
+              .number_or("total", -1.0);
+        }
+        std::string payload;
+        serve::wire::append_string(payload, "c");
+        payload += stats::serialize_shard(shard);
+        serve::Frame frame;
+        EXPECT_TRUE(
+            client.request_frame(serve::wire::kAbsorb, payload, frame));
+        EXPECT_TRUE(frame.ok());
+        std::uint64_t total = 0;
+        std::memcpy(&total, frame.payload.data() + 1, sizeof total);
+        return static_cast<double>(total);
+      };
 
-    EXPECT_EQ(absorb(second), 80.0);
-    const JsonValue after = json("{\"op\":\"estimate\",\"session\":\"c\"}");
-    ASSERT_TRUE(is_ok(after));
-    EXPECT_EQ(after.number_or("count", 0.0), 80.0);
-    expect_served_estimate(*after.find("estimate"), reference(2));
-    server.stop();
+      ASSERT_TRUE(is_ok(json(open)));
+      EXPECT_EQ(absorb(first), 48.0);
+      const JsonValue before = json("{\"op\":\"estimate\",\"session\":\"c\"}");
+      ASSERT_TRUE(is_ok(before));
+      EXPECT_EQ(before.number_or("count", 0.0), 48.0);
+      expect_reference(before, 1);
+
+      EXPECT_EQ(absorb(second), 80.0);
+      const JsonValue after = json("{\"op\":\"estimate\",\"session\":\"c\"}");
+      ASSERT_TRUE(is_ok(after));
+      EXPECT_EQ(after.number_or("count", 0.0), 80.0);
+      expect_reference(after, 2);
+      server.stop();
+    }
   }
 }
 

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -32,12 +31,14 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "stats/sufficient_stats.hpp"
+#include "telemetry/decimal.hpp"
 #include "telemetry/export.hpp"
 
 namespace {
 
 using bmfusion::JsonValue;
 using bmfusion::parse_json;
+using bmfusion::telemetry::append_double;
 using bmfusion::serve::Frame;
 using bmfusion::serve::LineClient;
 namespace wire = bmfusion::serve::wire;
@@ -79,12 +80,6 @@ class GaussianStream {
   double spare_ = 0.0;
   bool have_spare_ = false;
 };
-
-void append_double(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
 
 // ----------------------------------------------------------- soak clients
 
