@@ -23,8 +23,9 @@
 # threads trading connections, atomic stop flags, the stop/wait handshake),
 # the fusion suite (single-threaded since the CV grid left the pool; kept
 # so that any future parallel population snapshot is raced from day one),
-# and the parallel Monte Carlo engine (per-worker StatStreams, pool
-# exception transport, a multi-thread parity smoke).
+# the estimator API suite (threads sharing one const estimator), and the
+# parallel Monte Carlo engine (per-worker StatStreams, pool exception
+# transport, a multi-thread parity smoke).
 #
 # Usage: scripts/tier1.sh [--skip-asan] [--skip-telemetry-off] [--skip-tsan]
 set -euo pipefail
@@ -220,7 +221,7 @@ else
   echo "==> tier-1: TSan build + telemetry shard-merge + log sink tests"
   cmake -B build-tsan -S . -DBMF_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
-    --target test_telemetry test_log test_serve test_fusion
+    --target test_telemetry test_log test_serve test_fusion test_estimator_api
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_telemetry \
     --gtest_filter='CounterShards.*:HistogramShards.*:Trace.*'
@@ -242,6 +243,12 @@ else
   # from its first commit.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/test_fusion
+  # The estimator surface: estimate() is const and writes no shared state,
+  # so threads may share one estimator; ConstEstimateIsThreadSafe runs four
+  # of them on one shift/scale BmfEstimator with two nominals. The whole
+  # suite takes a few seconds under TSan.
+  TSAN_OPTIONS=halt_on_error=1 \
+    ./build-tsan/tests/test_estimator_api
 
   # The parallel Monte Carlo engine: pool workers streaming into per-worker
   # StatStreams, disjoint row writes, sharded telemetry counters from inside

@@ -35,39 +35,23 @@ BmfEstimator::BmfEstimator(EarlyStageKnowledge early, BmfConfig config)
                    "early nominal must match the moment dimension");
 }
 
-ShiftScale BmfEstimator::late_transform(const Vector& late_nominal) const {
-  return make_stage_transforms(early_.nominal, late_nominal, early_.moments)
-      .late;
-}
-
-const StageTransforms& BmfEstimator::transforms_for(
+StageTransforms BmfEstimator::stage_transforms(
     const Vector& late_nominal) const {
   BMFUSION_REQUIRE(late_nominal.size() == early_.moments.dimension(),
-                   "bmf shift/scale needs a late-stage nominal point");
-  if (!transform_cache_.has_value() ||
-      !(transform_cache_nominal_ == late_nominal)) {
-    transform_cache_ =
-        make_stage_transforms(early_.nominal, late_nominal, early_.moments);
-    transform_cache_nominal_ = late_nominal;
-  }
-  return *transform_cache_;
+                   "bmf shift/scale needs a late-stage nominal point of the "
+                   "early-stage dimension (set_nominal before observe or "
+                   "absorb)");
+  return make_stage_transforms(early_.nominal, late_nominal, early_.moments);
 }
 
-void BmfEstimator::on_nominal_changed() { transform_cache_.reset(); }
-
-Vector BmfEstimator::stream_transform(const Vector& sample) const {
-  if (!config_.apply_shift_scale) return sample;
-  BMFUSION_REQUIRE(nominal().size() != 0,
-                   "bmf streaming needs set_nominal before observe");
-  return transforms_for(nominal()).late.apply(sample);
+ShiftScale BmfEstimator::late_transform(const Vector& late_nominal) const {
+  return stage_transforms(late_nominal).late;
 }
 
-SufficientStats BmfEstimator::stream_transform_stats(
-    const SufficientStats& stats) const {
-  if (!config_.apply_shift_scale) return stats;
-  BMFUSION_REQUIRE(nominal().size() != 0,
-                   "bmf streaming needs set_nominal before absorb");
-  return transforms_for(nominal()).late.apply(stats);
+std::optional<ShiftScale> BmfEstimator::stream_space(
+    const Vector& late_nominal) const {
+  if (!config_.apply_shift_scale) return std::nullopt;
+  return late_transform(late_nominal);
 }
 
 GaussianMoments BmfEstimator::fuse_at(const GaussianMoments& early_scaled,
@@ -82,31 +66,6 @@ GaussianMoments BmfEstimator::fuse_at(const GaussianMoments& early_scaled,
                                       double kappa0, double nu0) {
   early_scaled.validate();
   return map_fuse(early_scaled, late_stats, kappa0, nu0);
-}
-
-BmfResult BmfEstimator::estimate_scaled(const GaussianMoments& early_scaled,
-                                        const Matrix& late_scaled,
-                                        const CrossValidationConfig& cv,
-                                        HyperSelection selection) {
-  CrossValidationResult selected;
-  try {
-    selected =
-        selection == HyperSelection::kEvidence
-            ? select_hyperparameters_evidence(early_scaled, late_scaled, cv)
-            : select_hyperparameters(early_scaled, late_scaled, cv);
-  } catch (const NumericError& e) {
-    rethrow_selection_failure(e, early_scaled.dimension(),
-                              late_scaled.rows());
-  }
-  BmfResult result;
-  result.kappa0 = selected.kappa0;
-  result.nu0 = selected.nu0;
-  result.score = selected.score;
-  result.cv_grid = selected.grid();
-  result.scaled_moments =
-      fuse_at(early_scaled, late_scaled, selected.kappa0, selected.nu0);
-  result.moments = result.scaled_moments;  // identical when no transform
-  return result;
 }
 
 BmfResult BmfEstimator::estimate_scaled(
@@ -151,63 +110,21 @@ BmfResult BmfEstimator::estimate_scaled(
   return result;
 }
 
-BmfResult BmfEstimator::do_estimate(const Matrix& late_samples,
-                                    const Vector& late_nominal) const {
-  BMFUSION_REQUIRE(late_samples.cols() == early_.moments.dimension(),
-                   "late samples must match the early-stage dimension");
-  BMFUSION_REQUIRE(late_samples.rows() >= 2,
-                   "bmf estimation needs >= 2 late-stage samples");
-
-  if (!config_.apply_shift_scale) {
-    return estimate_scaled(early_.moments, late_samples, config_.cv,
-                           config_.selection);
-  }
-
-  const StageTransforms& transforms = transforms_for(late_nominal);
-  const GaussianMoments early_scaled = transforms.early.apply(early_.moments);
-  const Matrix late_scaled = transforms.late.apply(late_samples);
-
-  BmfResult result = estimate_scaled(early_scaled, late_scaled, config_.cv,
-                                     config_.selection);
-  result.moments = transforms.late.invert(result.scaled_moments);
-  return result;
-}
-
-BmfResult BmfEstimator::do_estimate_stats(const SufficientStats& late_stats,
-                                          const Vector& late_nominal) const {
-  BMFUSION_REQUIRE(late_stats.dimension() == early_.moments.dimension(),
-                   "late statistics must match the early-stage dimension");
-
-  if (!config_.apply_shift_scale) {
-    return estimate_scaled(early_.moments, {late_stats}, config_.cv,
-                           HyperSelection::kEvidence);
-  }
-  const StageTransforms& transforms = transforms_for(late_nominal);
-  const GaussianMoments early_scaled = transforms.early.apply(early_.moments);
-  // A single pre-summarized batch cannot be folded, so selection is by
-  // evidence regardless of config().selection.
-  BmfResult result =
-      estimate_scaled(early_scaled, {transforms.late.apply(late_stats)},
-                      config_.cv, HyperSelection::kEvidence);
-  result.moments = transforms.late.invert(result.scaled_moments);
-  return result;
-}
-
 BmfResult BmfEstimator::do_snapshot(
     const std::vector<SufficientStats>& fold_totals,
     const Vector& late_nominal) const {
-  // Fold totals arrive already normalized (stream_transform applied on
-  // entry), so selection + fusion run in the same scaled space — and
-  // through the same core — as the batch path.
+  // Fold totals arrive in stream space (stream_space(late_nominal)), so
+  // selection + fusion run in the scaled space and the estimate is pulled
+  // back to late-stage units. Rebuilding the transforms on each recompute
+  // costs little next to the grid, and keeps the estimator free of caches.
   if (!config_.apply_shift_scale) {
     return estimate_scaled(early_.moments, fold_totals, config_.cv,
                            config_.selection);
   }
-  const StageTransforms& transforms = transforms_for(late_nominal);
-  const GaussianMoments early_scaled = transforms.early.apply(early_.moments);
+  const StageTransforms transforms = stage_transforms(late_nominal);
   BmfResult result =
-      estimate_scaled(early_scaled, fold_totals, config_.cv,
-                      config_.selection);
+      estimate_scaled(transforms.early.apply(early_.moments), fold_totals,
+                      config_.cv, config_.selection);
   result.moments = transforms.late.invert(result.scaled_moments);
   return result;
 }

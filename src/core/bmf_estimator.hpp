@@ -60,33 +60,25 @@ using BmfResult = EstimateResult;
 
 /// Reusable estimator bound to one early stage. Implements the unified
 /// MomentEstimator interface: estimate(late_samples, late_nominal) runs
-/// Algorithm 1 end to end. When shift/scale is enabled a non-empty
-/// late-stage nominal is required (ContractError otherwise).
+/// Algorithm 1 end to end. When shift/scale is enabled a late-stage nominal
+/// of the early-stage dimension is required (ContractError otherwise).
 ///
 /// Streaming: call set_nominal(late_nominal) once, then observe()/absorb()
 /// as measurements arrive. Samples are normalized on entry (Section 4.1)
-/// and accumulated into config().cv.folds fold streams with the same
-/// round-robin split as the batch CV engine, so snapshot() runs the
-/// identical hyper-parameter search from fold statistics alone; when the
-/// stream cannot sustain a fold split (single absorbed summary, < 2
-/// non-empty folds) selection downgrades to the closed-form evidence.
+/// and accumulated into config().cv.folds fold streams, so snapshot() runs
+/// the hyper-parameter search from fold statistics alone; when the stream
+/// cannot sustain a fold split (single absorbed summary, < 2 non-empty
+/// folds) selection downgrades to the closed-form evidence. A batch
+/// estimate() is the snapshot of a stream that observed its rows.
 class BmfEstimator final : public MomentEstimator {
  public:
   explicit BmfEstimator(EarlyStageKnowledge early, BmfConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "bmf"; }
 
-  /// Scaled-space core used by estimate() and by the experiment harness
-  /// (which evaluates errors in scaled space): selects hyper-parameters by
-  /// `selection` and fuses, all inputs/outputs in the normalized space.
-  [[nodiscard]] static BmfResult estimate_scaled(
-      const GaussianMoments& early_scaled,
-      const linalg::Matrix& late_scaled, const CrossValidationConfig& cv,
-      HyperSelection selection = HyperSelection::kCrossValidation);
-
-  /// The same core fed from per-fold sufficient statistics in the scaled
-  /// space — the one selection + fusion + fallback path every entry style
-  /// (batch, stats-only, streaming snapshot) converges on. `selection`
+  /// The scaled-space core every entry style converges on: selects hyper-
+  /// parameters by `selection` from per-fold sufficient statistics and
+  /// fuses, all inputs/outputs in the normalized space. `selection`
   /// downgrades to evidence when fewer than two folds are non-empty.
   [[nodiscard]] static BmfResult estimate_scaled(
       const GaussianMoments& early_scaled,
@@ -113,36 +105,24 @@ class BmfEstimator final : public MomentEstimator {
       const linalg::Vector& late_nominal) const;
 
  protected:
-  [[nodiscard]] BmfResult do_estimate(
-      const linalg::Matrix& late_samples,
-      const linalg::Vector& late_nominal) const override;
-  [[nodiscard]] BmfResult do_estimate_stats(
-      const SufficientStats& late_stats,
-      const linalg::Vector& late_nominal) const override;
   [[nodiscard]] BmfResult do_snapshot(
       const std::vector<SufficientStats>& fold_totals,
       const linalg::Vector& late_nominal) const override;
   [[nodiscard]] std::size_t stream_folds() const override {
     return config_.cv.folds;
   }
-  [[nodiscard]] linalg::Vector stream_transform(
-      const linalg::Vector& sample) const override;
-  [[nodiscard]] SufficientStats stream_transform_stats(
-      const SufficientStats& stats) const override;
-  void on_nominal_changed() override;
+  /// late_transform(late_nominal) with shift/scale on, else the identity.
+  [[nodiscard]] std::optional<ShiftScale> stream_space(
+      const linalg::Vector& late_nominal) const override;
 
  private:
-  /// Stage transforms for `late_nominal`, cached across the streaming hot
-  /// path (set_nominal invalidates). Throws ContractError when shift/scale
-  /// is enabled and no nominal is available.
-  [[nodiscard]] const StageTransforms& transforms_for(
+  /// The Section 4.1 transforms of both stages for `late_nominal`; throws
+  /// ContractError when it is missing or not of the early-stage dimension.
+  [[nodiscard]] StageTransforms stage_transforms(
       const linalg::Vector& late_nominal) const;
 
   EarlyStageKnowledge early_;
   BmfConfig config_;
-  /// Lazy per-nominal cache (mutable: estimate()/snapshot() are const).
-  mutable std::optional<StageTransforms> transform_cache_;
-  mutable linalg::Vector transform_cache_nominal_;
 };
 
 }  // namespace bmfusion::core

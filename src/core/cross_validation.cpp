@@ -55,18 +55,12 @@ struct Surface {
   std::vector<double> error;
 };
 
-/// Eigendecomposition of the finite, nearly symmetric `a`, symmetrized and
-/// divided by `scale`, an exact power of two that brings its largest entry
-/// to [0.5, 1): the Jacobi stopping test is absolute below unit scale, and
-/// its symmetry check is too, so rounding-level asymmetry must go first.
-/// Multiply the eigenvalues by `scale`. Throws NumericError when Jacobi
+/// Eigendecomposition of the finite, nearly symmetric `a`, symmetrized
+/// first: whitening by an ill-conditioned Sigma_E can leave more asymmetry
+/// than the solver's symmetry check allows. Throws NumericError when Jacobi
 /// does not converge.
-linalg::JacobiEigenSolver eigen_at_unit_scale(Matrix a, double& scale) {
+linalg::JacobiEigenSolver symmetric_eigen(Matrix a) {
   a.symmetrize();
-  int exponent = 0;
-  if (a.norm_max() > 0.0) (void)std::frexp(a.norm_max(), &exponent);
-  a *= std::ldexp(1.0, -exponent);
-  scale = std::ldexp(1.0, exponent);
   return linalg::JacobiEigenSolver(a);
 }
 
@@ -101,8 +95,7 @@ std::optional<Whitening> whiten(const Matrix& sigma_e,
   }
   white.log_det = prior.log_determinant();
   try {
-    double scale = 1.0;  // cancels in the ratio
-    white.condition = eigen_at_unit_scale(sigma_e, scale).condition_number();
+    white.condition = symmetric_eigen(sigma_e).condition_number();
   } catch (const NumericError&) {
     return std::nullopt;  // Jacobi did not converge
   }
@@ -126,12 +119,10 @@ std::optional<Spectrum> spectrum(const Whitening& white,
   Matrix a = white.l_inv * train.scatter() * white.l_inv.transposed();
   if (!a.is_finite()) return std::nullopt;
   try {
-    double scale = 1.0;
-    const linalg::JacobiEigenSolver eigen =
-        eigen_at_unit_scale(std::move(a), scale);
+    const linalg::JacobiEigenSolver eigen = symmetric_eigen(std::move(a));
     Spectrum s;
     s.n = static_cast<double>(train.count());
-    s.lambda = eigen.eigenvalues() * scale;
+    s.lambda = eigen.eigenvalues();
     s.p = eigen.eigenvectors().transposed() * white.l_inv;
     s.u = s.p * (early_mean - train.mean());
     s.u_norm2 = dot(s.u, s.u);

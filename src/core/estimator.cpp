@@ -99,6 +99,19 @@ void require_finite_stats(const SufficientStats& stats,
   }
 }
 
+/// One SufficientStats per fold stream, in fold order; an empty fold is a
+/// dimension-matched zero (the do_snapshot contract).
+std::vector<SufficientStats> totals_per_fold(
+    const std::vector<stats::StatStream>& folds, std::size_t dimension) {
+  std::vector<SufficientStats> totals;
+  totals.reserve(folds.size());
+  for (const stats::StatStream& fold : folds) {
+    totals.push_back(fold.empty() ? SufficientStats(dimension)
+                                  : fold.totals());
+  }
+  return totals;
+}
+
 }  // namespace
 
 // --- Batch -----------------------------------------------------------------
@@ -117,30 +130,23 @@ EstimateResult MomentEstimator::estimate(const linalg::Matrix& samples) const {
   return estimate(samples, linalg::Vector());
 }
 
-// --- Stats-only -------------------------------------------------------------
-
-EstimateResult MomentEstimator::estimate(const SufficientStats& stats,
-                                         const linalg::Vector& nominal) const {
-  BMFUSION_REQUIRE(stats.count() >= 1 && stats.dimension() >= 1,
-                   "moment estimation needs non-empty sufficient statistics");
-  BMFUSION_REQUIRE(nominal.size() == 0 || nominal.size() == stats.dimension(),
-                   "nominal must be empty or match the stats dimension");
-  require_finite_stats(stats, name());
-  require_finite_inputs(linalg::Matrix(), nominal, name());
-  return do_estimate_stats(stats, nominal);
-}
-
-EstimateResult MomentEstimator::estimate(const SufficientStats& stats) const {
-  return estimate(stats, linalg::Vector());
-}
-
-EstimateResult MomentEstimator::do_estimate_stats(
-    const SufficientStats& stats, const linalg::Vector& nominal) const {
-  (void)stats;
-  (void)nominal;
-  throw ContractError(std::string("estimator '") + std::string(name()) +
-                      "' does not support estimation from sufficient "
-                      "statistics");
+EstimateResult MomentEstimator::do_estimate(
+    const linalg::Matrix& samples, const linalg::Vector& nominal) const {
+  // Exactly what observe() does on a fresh stream after set_nominal: the
+  // same fold split, stream space and accumulators, so the answer is that
+  // stream's snapshot(), bit for bit. Everything lives on the stack.
+  const std::optional<ShiftScale> space = stream_space(nominal);
+  std::vector<stats::StatStream> folds(stream_folds(),
+                                       stats::StatStream(samples.cols()));
+  for (std::size_t i = 0; i < samples.rows(); ++i) {
+    stats::StatStream& fold = folds[i % folds.size()];
+    if (space.has_value()) {
+      fold.add(space->apply(samples.row(i)));
+    } else {
+      fold.add(samples.row(i));
+    }
+  }
+  return do_snapshot(totals_per_fold(folds, samples.cols()), nominal);
 }
 
 // --- Streaming ---------------------------------------------------------------
@@ -152,9 +158,14 @@ void MomentEstimator::set_nominal(const linalg::Vector& nominal) {
   BMFUSION_REQUIRE(nominal.size() >= 1,
                    "set_nominal needs a non-empty nominal vector");
   require_finite_inputs(linalg::Matrix(), nominal, name());
+  std::optional<ShiftScale> space = stream_space(nominal);
   snapshot_cache_.reset();
   nominal_ = nominal;
-  on_nominal_changed();
+  space_ = std::move(space);
+}
+
+void MomentEstimator::require_stream_space() const {
+  if (nominal_.size() == 0) (void)stream_space(nominal_);
 }
 
 void MomentEstimator::ensure_streams(std::size_t dimension) {
@@ -173,9 +184,15 @@ void MomentEstimator::ensure_streams(std::size_t dimension) {
 void MomentEstimator::observe_row(const linalg::Vector& sample) {
   BMFUSION_REQUIRE(sample.size() >= 1, "observe needs a non-empty sample");
   require_finite_sample(sample, name());
+  require_stream_space();
   ensure_streams(sample.size());
   snapshot_cache_.reset();
-  streams_[observed_ % streams_.size()].add(stream_transform(sample));
+  stats::StatStream& fold = streams_[observed_ % streams_.size()];
+  if (space_.has_value()) {
+    fold.add(space_->apply(sample));
+  } else {
+    fold.add(sample);
+  }
   ++observed_;
 }
 
@@ -200,10 +217,15 @@ void MomentEstimator::absorb(const SufficientStats& stats) {
   BMFUSION_REQUIRE(stats.dimension() >= 1,
                    "absorb needs statistics with dimension >= 1");
   require_finite_stats(stats, name());
+  require_stream_space();
   ensure_streams(stats.dimension());
   snapshot_cache_.reset();
-  streams_[absorb_cursor_ % streams_.size()].absorb(
-      stream_transform_stats(stats));
+  stats::StatStream& fold = streams_[absorb_cursor_ % streams_.size()];
+  if (space_.has_value()) {
+    fold.absorb(space_->apply(stats));
+  } else {
+    fold.absorb(stats);
+  }
   ++absorb_cursor_;
   observed_ += stats.count();
   BMF_COUNTER_ADD("core.stream.absorbed_samples", stats.count());
@@ -299,15 +321,10 @@ EstimateResult MomentEstimator::snapshot() const {
     BMF_COUNTER_ADD("core.stream.snapshot_reuses", 1);
     return *snapshot_cache_;
   }
-  const std::size_t dim = streams_.front().dimension();
-  std::vector<SufficientStats> fold_totals;
-  fold_totals.reserve(streams_.size());
-  for (const stats::StatStream& stream : streams_) {
-    fold_totals.push_back(stream.empty() ? SufficientStats(dim)
-                                         : stream.totals());
-  }
+  const std::vector<SufficientStats> totals =
+      totals_per_fold(streams_, streams_.front().dimension());
   BMF_SPAN("estimator_snapshot");
-  snapshot_cache_ = do_snapshot(fold_totals, nominal_);
+  snapshot_cache_ = do_snapshot(totals, nominal_);
   return *snapshot_cache_;
 }
 
@@ -329,23 +346,10 @@ void MomentEstimator::reset_stream() {
   absorb_cursor_ = 0;
 }
 
-EstimateResult MomentEstimator::do_snapshot(
-    const std::vector<SufficientStats>& fold_totals,
+std::optional<ShiftScale> MomentEstimator::stream_space(
     const linalg::Vector& nominal) const {
-  (void)fold_totals;
   (void)nominal;
-  throw ContractError(std::string("estimator '") + std::string(name()) +
-                      "' does not support streaming estimation");
-}
-
-linalg::Vector MomentEstimator::stream_transform(
-    const linalg::Vector& sample) const {
-  return sample;
-}
-
-SufficientStats MomentEstimator::stream_transform_stats(
-    const SufficientStats& stats) const {
-  return stats;
+  return std::nullopt;
 }
 
 // --- MLE ---------------------------------------------------------------------
@@ -359,18 +363,10 @@ EstimateResult MleEstimator::do_estimate(const linalg::Matrix& samples,
   return result;
 }
 
-EstimateResult MleEstimator::do_estimate_stats(
-    const SufficientStats& stats, const linalg::Vector& nominal) const {
-  (void)nominal;
-  EstimateResult result;
-  result.moments = estimate_mle(stats);
-  result.scaled_moments = result.moments;
-  return result;
-}
-
 EstimateResult MleEstimator::do_snapshot(
     const std::vector<SufficientStats>& fold_totals,
     const linalg::Vector& nominal) const {
+  (void)nominal;  // the MLE neither shifts nor scales
   // Single-fold stream (stream_folds() == 1), but stay robust to a caller-
   // assembled fold vector: the MLE only needs the grand totals.
   SufficientStats totals;
@@ -385,7 +381,10 @@ EstimateResult MleEstimator::do_snapshot(
     }
   }
   BMFUSION_REQUIRE(have, "mle snapshot needs >= 1 observed sample");
-  return do_estimate_stats(totals, nominal);
+  EstimateResult result;
+  result.moments = estimate_mle(totals);
+  result.scaled_moments = result.moments;
+  return result;
 }
 
 }  // namespace bmfusion::core

@@ -1,4 +1,4 @@
-// Unified moment-estimator interface: batch, stats-only and streaming.
+// Unified moment-estimator interface: batch and streaming, one core.
 //
 // Every estimation strategy in the library — the paper's MLE baseline
 // (eqs. 10-11), the headline Bayesian model fusion of Algorithm 1, and the
@@ -7,18 +7,19 @@
 // are the first two moments? MomentEstimator captures exactly that contract
 // so experiments, benches and examples can treat strategies polymorphically.
 //
-// The interface has three entry styles that converge on one estimation core
-// per strategy:
+// The interface has two entry styles and one estimation core per strategy,
+// do_snapshot(fold_totals, nominal):
 //
-//   * batch:      estimate(samples[, nominal]) — one matrix, one answer.
-//   * stats-only: estimate(SufficientStats[, nominal]) — the caller already
-//     summarized its samples (Monte Carlo driver, CV engine, serve layer);
-//     no matrix is ever materialized.
 //   * streaming:  set_nominal() once, observe()/absorb()/merge() as data
 //     arrives, snapshot() whenever an estimate is wanted. State lives in
 //     per-fold StatStreams whose deterministic pairwise reduction makes
 //     block-aligned shard splits reassemble bitwise (stats/stat_stream.hpp);
 //     export_shard()/absorb(StatsShard) move that state across the wire.
+//   * batch:      estimate(samples[, nominal]) — one matrix, one answer. It
+//     files row i into fold i % stream_folds() through the same StatStreams
+//     and stream space observe() uses, then calls the core, so a batch
+//     estimate is bit for bit the snapshot() of a fresh stream that observed
+//     the same rows after set_nominal(nominal). Only the MLE overrides it.
 //
 // Conjugacy is what makes the streaming surface cheap: a new sample is an
 // O(d^2) statistics update, and a first snapshot() runs the strategy's
@@ -37,6 +38,7 @@
 
 #include "core/cross_validation.hpp"
 #include "core/moments.hpp"
+#include "core/shift_scale.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "stats/stat_stream.hpp"
@@ -80,7 +82,8 @@ class MomentEstimator {
   /// the offending row/column in the error context (the shared API-boundary
   /// screen for corrupted measurement data); degenerate-but-finite inputs
   /// either recover through the documented numeric fallbacks or throw
-  /// NumericError describing what was degenerate.
+  /// NumericError describing what was degenerate. Writes no shared state, so
+  /// several threads may call it on one estimator.
   [[nodiscard]] EstimateResult estimate(const linalg::Matrix& samples,
                                         const linalg::Vector& nominal) const;
 
@@ -88,22 +91,14 @@ class MomentEstimator {
   /// nominal vector. Estimators that require one throw ContractError.
   [[nodiscard]] EstimateResult estimate(const linalg::Matrix& samples) const;
 
-  // --- Stats-only --------------------------------------------------------
-
-  /// Estimates from prebuilt raw-space sufficient statistics (no sample
-  /// matrix reconversion). Hyper-parameter-selecting strategies cannot fold
-  /// a single summary, so they select by model evidence here. Throws
-  /// ContractError from strategies that genuinely need raw samples.
-  [[nodiscard]] EstimateResult estimate(const SufficientStats& stats,
-                                        const linalg::Vector& nominal) const;
-  [[nodiscard]] EstimateResult estimate(const SufficientStats& stats) const;
-
   // --- Streaming ---------------------------------------------------------
 
-  /// Fixes the late-stage nominal point the stream is relative to. Must be
-  /// called before the first observe/absorb for strategies that shift by a
+  /// Fixes the late-stage nominal point the stream is relative to, and with
+  /// it the stream space (stream_space(nominal)). Must be called before the
+  /// first observe/absorb(SufficientStats) for strategies that shift by a
   /// nominal (they accumulate in their normalized space); immutable once
-  /// samples have been observed (ContractError).
+  /// samples have been observed (ContractError). A nominal the strategy
+  /// cannot use throws here, before anything changes.
   void set_nominal(const linalg::Vector& nominal);
   [[nodiscard]] const linalg::Vector& nominal() const { return nominal_; }
 
@@ -116,17 +111,19 @@ class MomentEstimator {
 
   /// Folds a pre-summarized raw-space sample set into the stream (assigned
   /// round-robin over absorb calls). Exact in set semantics; not part of
-  /// the bitwise block grid.
+  /// the bitwise block grid. A single absorbed summary fills one fold, so
+  /// hyper-parameter-selecting strategies select by model evidence.
   void absorb(const SufficientStats& stats);
 
   /// Merges a wire-format shard (produced by export_shard of an equally
   /// configured estimator, so its folds are already in this estimator's
   /// stream space). Shard estimator tags must match name() when present;
   /// fold counts must agree; a shard nominal adopts into an untouched
-  /// stream and must match an established one. Throws DataError on
-  /// mismatched shards; the whole shard is checked before any state
-  /// changes, so a rejected shard leaves the estimator (nominal included)
-  /// as it was.
+  /// stream through set_nominal (so one the strategy cannot use throws
+  /// ContractError there) and must match an established one. Throws
+  /// DataError on mismatched shards; the whole shard is checked before any
+  /// state changes, so a rejected shard leaves the estimator (nominal
+  /// included) as it was.
   void absorb(const stats::StatsShard& shard);
 
   /// Appends `other`'s stream after this one, fold by fold (concatenation
@@ -134,8 +131,7 @@ class MomentEstimator {
   /// dimension and nominal. Block-aligned splits reassemble bitwise.
   void merge(const MomentEstimator& other);
 
-  /// Estimate from everything observed so far. Requires >= 1 sample (some
-  /// strategies need more; they throw the same errors as their batch path).
+  /// Estimate from everything observed so far. Requires >= 1 sample.
   /// Repeatable: snapshot() does not disturb the stream. The result is
   /// cached until the next set_nominal/observe/absorb/merge/reset_stream,
   /// so a repeat call on an unchanged stream returns a copy without
@@ -160,47 +156,34 @@ class MomentEstimator {
   }
 
  protected:
-  /// Batch strategy hook; `samples` is non-empty and `nominal` is either
-  /// empty or dimension-matched when this is called.
-  [[nodiscard]] virtual EstimateResult do_estimate(
-      const linalg::Matrix& samples, const linalg::Vector& nominal) const = 0;
-
-  /// Stats-only strategy hook; `stats` is finite and non-empty, `nominal`
-  /// empty or dimension-matched. Default: ContractError ("does not support
-  /// estimation from sufficient statistics").
-  [[nodiscard]] virtual EstimateResult do_estimate_stats(
-      const SufficientStats& stats, const linalg::Vector& nominal) const;
-
-  /// Snapshot strategy hook: one SufficientStats per fold (empty folds are
-  /// dimension-matched with count 0), in this estimator's *stream space*
-  /// (see stream_transform). Default: ContractError ("does not support
-  /// streaming").
+  /// The estimation core: one SufficientStats per fold (empty folds are
+  /// dimension-matched with count 0), in this estimator's stream space for
+  /// `nominal`, which is empty or dimension-matched.
   [[nodiscard]] virtual EstimateResult do_snapshot(
       const std::vector<SufficientStats>& fold_totals,
-      const linalg::Vector& nominal) const;
+      const linalg::Vector& nominal) const = 0;
 
   /// Number of fold accumulators the stream maintains (queried when the
   /// first sample arrives). Strategies that cross-validate return their
   /// fold count; default 1.
   [[nodiscard]] virtual std::size_t stream_folds() const { return 1; }
 
-  /// Maps a raw-space sample into the space the stream accumulates in.
-  /// Default: identity. BMF normalizes here so fold statistics are
-  /// accumulated from O(1)-centered values instead of being algebraically
-  /// re-centered at snapshot time (which would cancel catastrophically for
-  /// metrics whose nominal dwarfs their spread).
-  [[nodiscard]] virtual linalg::Vector stream_transform(
-      const linalg::Vector& sample) const;
+  /// The map from raw samples into the space the stream accumulates in, for
+  /// `nominal`; empty means the identity (the default). A pure function:
+  /// throws ContractError when the strategy needs a nominal it was not
+  /// given. BMF normalizes here so fold statistics are accumulated from
+  /// O(1)-centered values instead of being algebraically re-centered at
+  /// snapshot time (which would cancel catastrophically for metrics whose
+  /// nominal dwarfs their spread).
+  [[nodiscard]] virtual std::optional<ShiftScale> stream_space(
+      const linalg::Vector& nominal) const;
 
-  /// Same map for pre-summarized statistics (absorb path). Default:
-  /// identity. Transforming a summary is exact only in real arithmetic —
-  /// see ShiftScale::apply(SufficientStats).
-  [[nodiscard]] virtual SufficientStats stream_transform_stats(
-      const SufficientStats& stats) const;
-
-  /// Notification that set_nominal changed the nominal point (caches of
-  /// nominal-derived transforms invalidate here). Default: no-op.
-  virtual void on_nominal_changed() {}
+  /// Batch hook; `samples` is non-empty and finite and `nominal` is either
+  /// empty or dimension-matched when this is called. Default: row i into
+  /// fold i % stream_folds() of fresh StatStreams, in stream_space(nominal),
+  /// then do_snapshot.
+  [[nodiscard]] virtual EstimateResult do_estimate(
+      const linalg::Matrix& samples, const linalg::Vector& nominal) const;
 
  private:
   /// Shared body of the two observe overloads, minus the sample counter:
@@ -210,8 +193,13 @@ class MomentEstimator {
   /// Sizes the fold accumulators on first use and pins the dimension.
   void ensure_streams(std::size_t dimension);
 
+  /// Refuses raw data before set_nominal when the strategy needs a nominal
+  /// (stream_space of an empty nominal throws).
+  void require_stream_space() const;
+
   std::vector<stats::StatStream> streams_;  ///< one per fold; lazy init
   linalg::Vector nominal_;                  ///< empty until set_nominal
+  std::optional<ShiftScale> space_;         ///< stream_space(nominal_)
   std::size_t observed_ = 0;                ///< samples streamed so far
   std::size_t absorb_cursor_ = 0;           ///< round-robin fold for absorb
   /// Last snapshot() result; every mutator clears it before its first
@@ -228,11 +216,11 @@ class MleEstimator final : public MomentEstimator {
   [[nodiscard]] std::string_view name() const override { return "mle"; }
 
  protected:
+  /// Batch MLE is the two-pass centered covariance of estimate_mle(Matrix),
+  /// not the stream's one-pass outer sums: on raw metrics whose mean dwarfs
+  /// their spread the two differ by the (mean/sigma)^2 conditioning.
   [[nodiscard]] EstimateResult do_estimate(
       const linalg::Matrix& samples,
-      const linalg::Vector& nominal) const override;
-  [[nodiscard]] EstimateResult do_estimate_stats(
-      const SufficientStats& stats,
       const linalg::Vector& nominal) const override;
   [[nodiscard]] EstimateResult do_snapshot(
       const std::vector<SufficientStats>& fold_totals,

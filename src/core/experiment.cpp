@@ -81,7 +81,7 @@ ExperimentResult MomentExperiment::run(const ExperimentConfig& config) const {
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
   // All strategies behind the unified interface, built once and shared by
-  // every repetition (estimate() is const and thread-safe). The experiment
+  // every repetition (estimate() writes no shared state). The experiment
   // works in scaled space throughout, so BMF runs with shift/scale off and
   // the univariate baseline is bound to the scaled early moments directly.
   const MleEstimator mle_estimator;

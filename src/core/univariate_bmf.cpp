@@ -8,13 +8,6 @@ namespace bmfusion::core {
 using linalg::Matrix;
 using linalg::Vector;
 
-GaussianMoments UnivariateBmfResult::as_moments() const {
-  GaussianMoments moments;
-  moments.mean = mean;
-  moments.covariance = Matrix::diagonal_matrix(variance);
-  return moments;
-}
-
 namespace {
 
 /// 1-D projection of d-dimensional sufficient statistics onto metric j:
@@ -28,12 +21,6 @@ SufficientStats project_stats_1d(const SufficientStats& stats,
 }
 
 }  // namespace
-
-EstimateResult UnivariateBmfEstimator::do_estimate_stats(
-    const SufficientStats& stats, const Vector& nominal) const {
-  (void)nominal;  // operates in the already-normalized space
-  return do_snapshot({stats}, nominal);
-}
 
 EstimateResult UnivariateBmfEstimator::do_snapshot(
     const std::vector<SufficientStats>& fold_totals,
@@ -85,44 +72,6 @@ EstimateResult UnivariateBmfEstimator::do_snapshot(
   result.moments.mean = mean;
   result.moments.covariance = Matrix::diagonal_matrix(variance);
   result.scaled_moments = result.moments;
-  return result;
-}
-
-UnivariateBmfResult estimate_univariate_bmf(
-    const GaussianMoments& early_scaled, const Matrix& late_scaled,
-    const CrossValidationConfig& config) {
-  early_scaled.validate();
-  BMFUSION_REQUIRE(late_scaled.cols() == early_scaled.dimension(),
-                   "late samples must match the early-stage dimension");
-  BMFUSION_REQUIRE(late_scaled.rows() >= 2,
-                   "univariate bmf needs >= 2 samples");
-  const std::size_t d = early_scaled.dimension();
-
-  UnivariateBmfResult result;
-  result.mean = Vector(d);
-  result.variance = Vector(d);
-  result.kappa0.resize(d);
-  result.nu0.resize(d);
-
-  for (std::size_t j = 0; j < d; ++j) {
-    // 1-D projection of the problem: this metric's early moments + samples.
-    GaussianMoments early_1d;
-    early_1d.mean = Vector{early_scaled.mean[j]};
-    early_1d.covariance = Matrix{{early_scaled.covariance(j, j)}};
-    Matrix samples_1d(late_scaled.rows(), 1);
-    for (std::size_t i = 0; i < late_scaled.rows(); ++i) {
-      samples_1d(i, 0) = late_scaled(i, j);
-    }
-    const CrossValidationResult sel =
-        select_hyperparameters(early_1d, samples_1d, config);
-    const NormalWishart prior =
-        NormalWishart::from_early_stage(early_1d, sel.kappa0, sel.nu0);
-    const GaussianMoments map = prior.posterior(samples_1d).map_estimate();
-    result.mean[j] = map.mean[0];
-    result.variance[j] = map.covariance(0, 0);
-    result.kappa0[j] = sel.kappa0;
-    result.nu0[j] = sel.nu0;
-  }
   return result;
 }
 

@@ -13,37 +13,22 @@
 #include "core/cross_validation.hpp"
 #include "core/estimator.hpp"
 #include "core/moments.hpp"
-#include "linalg/matrix.hpp"
 
 namespace bmfusion::core {
 
-struct UnivariateBmfResult {
-  linalg::Vector mean;       ///< per-metric MAP means
-  linalg::Vector variance;   ///< per-metric MAP variances
-  std::vector<double> kappa0;  ///< selected per dimension
-  std::vector<double> nu0;     ///< selected per dimension
-
-  /// Moments with a diagonal covariance (the best a univariate method can
-  /// report); usable with the same error metrics as the multivariate
-  /// estimators.
-  [[nodiscard]] GaussianMoments as_moments() const;
-};
-
-/// Runs per-dimension univariate BMF (1-D cross validation per metric) in
-/// the scaled space. `early_scaled` supplies each dimension's prior mean and
-/// variance; off-diagonal early knowledge is deliberately ignored.
-[[nodiscard]] UnivariateBmfResult estimate_univariate_bmf(
-    const GaussianMoments& early_scaled, const linalg::Matrix& late_scaled,
-    const CrossValidationConfig& config = {});
-
-/// The univariate baseline behind the unified MomentEstimator interface.
-/// Like estimate_univariate_bmf it works in the scaled space and ignores the
-/// nominal point; the reported covariance is diagonal.
+/// The univariate baseline behind the unified MomentEstimator interface. It
+/// works in the scaled space (the caller normalizes its samples) and ignores
+/// the nominal point; `early_scaled` supplies each dimension's prior mean
+/// and variance, and off-diagonal early knowledge is deliberately ignored.
+/// The reported covariance is diagonal (the best a univariate method can
+/// report), so the same error metrics apply as to the multivariate
+/// estimators.
 ///
-/// Streaming: samples (already normalized by the caller, like the batch
-/// path) accumulate into cv.folds fold streams; snapshot() projects each
+/// Samples accumulate into cv.folds fold streams; the core projects each
 /// fold's statistics onto every dimension and runs the per-metric 1-D
-/// hyper-parameter search from those projections.
+/// hyper-parameter search from those projections (evidence when fewer than
+/// two folds are non-empty). A batch estimate() is the snapshot of a stream
+/// that observed its rows.
 class UnivariateBmfEstimator final : public MomentEstimator {
  public:
   explicit UnivariateBmfEstimator(GaussianMoments early_scaled,
@@ -58,20 +43,6 @@ class UnivariateBmfEstimator final : public MomentEstimator {
   }
 
  protected:
-  [[nodiscard]] EstimateResult do_estimate(
-      const linalg::Matrix& samples,
-      const linalg::Vector& nominal) const override {
-    (void)nominal;  // operates in the already-normalized space
-    EstimateResult result;
-    result.moments = estimate_univariate_bmf(early_scaled_, samples, cv_)
-                         .as_moments();
-    result.scaled_moments = result.moments;
-    return result;
-  }
-
-  [[nodiscard]] EstimateResult do_estimate_stats(
-      const SufficientStats& stats,
-      const linalg::Vector& nominal) const override;
   [[nodiscard]] EstimateResult do_snapshot(
       const std::vector<SufficientStats>& fold_totals,
       const linalg::Vector& nominal) const override;

@@ -22,7 +22,7 @@ JacobiEigenSolver::JacobiEigenSolver(const Matrix& a) {
   bool converged = (n < 2);
   for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
     // Off-diagonal Frobenius mass; convergence when negligible relative to
-    // the diagonal scale.
+    // the diagonal scale, at any scale (a zero matrix converges at once).
     double off = 0.0;
     double diag_scale = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -31,7 +31,7 @@ JacobiEigenSolver::JacobiEigenSolver(const Matrix& a) {
         off += work(i, j) * work(i, j);
       }
     }
-    if (std::sqrt(off) <= 1e-14 * std::max(1.0, diag_scale)) {
+    if (std::sqrt(off) <= 1e-14 * diag_scale) {
       converged = true;
       break;
     }

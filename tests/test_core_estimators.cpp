@@ -12,6 +12,7 @@
 #include "core/shift_scale.hpp"
 #include "core/univariate_bmf.hpp"
 #include "core/yield.hpp"
+#include "same_estimate.hpp"
 #include "stats/moments.hpp"
 #include "stats/mvn.hpp"
 #include "stats/rng.hpp"
@@ -303,8 +304,15 @@ TEST(BmfEstimator, InputValidation) {
   EXPECT_THROW(BmfEstimator(EarlyStageKnowledge{truth, Vector(3)}),
                ContractError);
   const BmfEstimator estimator(EarlyStageKnowledge{truth, truth.mean});
-  EXPECT_THROW((void)estimator.estimate(Matrix(1, 2), truth.mean),
-               ContractError);
+  // One row cannot be folded: the batch selects by evidence, exactly as the
+  // snapshot of a stream holding that row does.
+  const EstimateResult one_row =
+      estimator.estimate(Matrix(1, 2), truth.mean);
+  BmfEstimator stream(EarlyStageKnowledge{truth, truth.mean});
+  stream.set_nominal(truth.mean);
+  stream.observe(Vector(2));
+  EXPECT_TRUE(testing_support::same_estimate(one_row, stream.snapshot()));
+  EXPECT_TRUE(std::isfinite(one_row.kappa0));
   EXPECT_THROW((void)estimator.estimate(Matrix(5, 3), truth.mean),
                ContractError);
 }
@@ -318,12 +326,11 @@ TEST(UnivariateBmf, MatchesMultivariateOnIndependentMetrics) {
   truth.mean = Vector{0.0, 0.0};
   truth.covariance = Matrix::diagonal_matrix(Vector{1.0, 4.0});
   const Matrix late = draws(truth, 16, 14);
-  const UnivariateBmfResult uni = estimate_univariate_bmf(truth, late);
-  EXPECT_NEAR(uni.variance[0], 1.0, 0.6);
-  EXPECT_NEAR(uni.variance[1], 4.0, 2.4);
-  EXPECT_EQ(uni.kappa0.size(), 2u);
-  const GaussianMoments as_m = uni.as_moments();
-  EXPECT_EQ(as_m.covariance(0, 1), 0.0);
+  const GaussianMoments uni =
+      UnivariateBmfEstimator(truth).estimate(late).moments;
+  EXPECT_NEAR(uni.covariance(0, 0), 1.0, 0.6);
+  EXPECT_NEAR(uni.covariance(1, 1), 4.0, 2.4);
+  EXPECT_EQ(uni.covariance(0, 1), 0.0);
 }
 
 TEST(UnivariateBmf, MissesCorrelations) {
@@ -333,9 +340,9 @@ TEST(UnivariateBmf, MissesCorrelations) {
   truth.mean = Vector{0.0, 0.0};
   truth.covariance = Matrix{{1.0, 0.9}, {0.9, 1.0}};
   const Matrix late = draws(truth, 32, 15);
-  const UnivariateBmfResult uni = estimate_univariate_bmf(truth, late);
-  const double uni_err =
-      covariance_error(uni.as_moments().covariance, truth.covariance);
+  const GaussianMoments uni =
+      UnivariateBmfEstimator(truth).estimate(late).moments;
+  const double uni_err = covariance_error(uni.covariance, truth.covariance);
   EXPECT_GT(uni_err, 0.9);  // at least the two 0.9 off-diagonals, in norm
   const GaussianMoments multi = BmfEstimator::fuse_at(truth, late, 10.0,
                                                       50.0);

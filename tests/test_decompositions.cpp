@@ -2,7 +2,9 @@
 // and the complex LU used by AC analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "linalg/cholesky.hpp"
@@ -304,6 +306,33 @@ TEST(JacobiEigen, IndefiniteMatrixNegativeEigenvalue) {
   const JacobiEigenSolver eig(Matrix{{0.0, 1.0}, {1.0, 0.0}});
   EXPECT_NEAR(eig.min_eigenvalue(), -1.0, 1e-12);
   EXPECT_NEAR(eig.max_eigenvalue(), 1.0, 1e-12);
+}
+
+TEST(JacobiEigen, AccurateAtAnyScale) {
+  // The stopping test is relative to the matrix's own scale, so a copy
+  // scaled by s (powers of ten: inexact) converges as far as the unit-scale
+  // matrix does, from 1e-15 to 1e15.
+  const Matrix unit = random_spd(5, 31);
+  const JacobiEigenSolver reference(unit);
+  const double norm = reference.max_eigenvalue();
+  for (int exponent = -15; exponent <= 15; exponent += 3) {
+    SCOPED_TRACE("scale 1e" + std::to_string(exponent));
+    const double s = std::pow(10.0, exponent);
+    const Matrix scaled = unit * s;
+    const JacobiEigenSolver eig(scaled);
+    for (std::size_t k = 0; k < 5; ++k) {
+      EXPECT_LE(std::fabs(eig.eigenvalues()[k] / s -
+                          reference.eigenvalues()[k]),
+                1e-14 * norm);
+      const Vector v = eig.eigenvectors().col(k);
+      const Vector residual = scaled * v - v * eig.eigenvalues()[k];
+      double worst = 0.0;
+      for (std::size_t i = 0; i < 5; ++i) {
+        worst = std::max(worst, std::fabs(residual[i]));
+      }
+      EXPECT_LE(worst / (s * norm), 1e-14);
+    }
+  }
 }
 
 TEST(JacobiEigen, ConditionNumberOfIdentityIsOne) {

@@ -6,8 +6,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/flash_adc.hpp"
@@ -25,6 +29,7 @@
 #include "core/shift_scale.hpp"
 #include "core/univariate_bmf.hpp"
 #include "faulty_dataset.hpp"
+#include "same_estimate.hpp"
 #include "stats/moments.hpp"
 #include "stats/mvn.hpp"
 #include "stats/rng.hpp"
@@ -35,6 +40,7 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
+using testing_support::same_estimate;
 
 GaussianMoments toy_moments(std::size_t d = 2) {
   GaussianMoments m;
@@ -598,19 +604,120 @@ TEST(MomentEstimatorApi, MleAdapterMatchesFreeFunction) {
 }
 
 TEST(MomentEstimatorApi, BmfAdapterMatchesEstimateScaled) {
+  // With shift/scale off the batch adapter is the scaled-space core fed the
+  // round-robin fold statistics of the rows.
   const GaussianMoments truth = toy_moments();
   const Matrix late = draws(truth, 14, 13);
   const BmfEstimator bmf(EarlyStageKnowledge{truth, truth.mean},
                          BmfConfig{}.with_shift_scale(false));
   const EstimateResult via_api = bmf.estimate(late);
-  const BmfResult direct =
-      BmfEstimator::estimate_scaled(truth, late, CrossValidationConfig{});
-  EXPECT_DOUBLE_EQ(via_api.kappa0, direct.kappa0);
-  EXPECT_DOUBLE_EQ(via_api.nu0, direct.nu0);
-  EXPECT_DOUBLE_EQ(via_api.score, direct.score);
-  EXPECT_TRUE(approx_equal(via_api.moments.mean, direct.moments.mean,
-                           1e-15));
+  const CrossValidationConfig cv;
+  std::vector<SufficientStats> folds(cv.folds, SufficientStats(late.cols()));
+  for (std::size_t i = 0; i < late.rows(); ++i) {
+    folds[i % cv.folds].add(late.row(i));
+  }
+  EXPECT_TRUE(
+      same_estimate(via_api, BmfEstimator::estimate_scaled(truth, folds, cv)));
   EXPECT_EQ(bmf.name(), "bmf");
+}
+
+TEST(MomentEstimatorApi, BatchIsTheStreamBitForBit) {
+  // estimate(rows, nominal) == set_nominal(nominal); observe(rows);
+  // snapshot(), in every field, for every strategy that selects
+  // hyper-parameters and every sample count: one row (no fold split), fewer
+  // rows than folds, folds within one 64-sample block, and folds spanning
+  // several blocks (where a one-pass fold sum would part from the stream's
+  // pairwise tree). Metrics in raw units: means far from zero, spreads
+  // unequal.
+  GaussianMoments early;
+  early.mean = Vector{60.0, 1200.0, 2.5};
+  const Vector sigma{0.8, 15.0, 0.05};
+  const Matrix corr{{1.0, 0.6, -0.3}, {0.6, 1.0, 0.2}, {-0.3, 0.2, 1.0}};
+  early.covariance = Matrix(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      early.covariance(i, j) = corr(i, j) * sigma[i] * sigma[j];
+    }
+  }
+  GaussianMoments late = early;
+  late.mean = Vector{60.4, 1210.0, 2.52};
+  late.covariance *= 1.1;
+  const Vector early_nominal{59.8, 1195.0, 2.49};
+  const Vector late_nominal{60.3, 1206.0, 2.51};
+
+  const CrossValidationConfig cv = CrossValidationConfig{}.with_grid(6, 6);
+  const auto bmf = [&](bool shift_scale, HyperSelection selection) {
+    return [=]() -> std::unique_ptr<MomentEstimator> {
+      return std::make_unique<BmfEstimator>(
+          EarlyStageKnowledge{early, early_nominal},
+          BmfConfig{}.with_cv(cv).with_shift_scale(shift_scale).with_selection(
+              selection));
+    };
+  };
+  const std::vector<
+      std::pair<std::string, std::function<std::unique_ptr<MomentEstimator>()>>>
+      strategies{
+          {"bmf cv, shift/scale", bmf(true, HyperSelection::kCrossValidation)},
+          {"bmf cv, raw", bmf(false, HyperSelection::kCrossValidation)},
+          {"bmf evidence, shift/scale", bmf(true, HyperSelection::kEvidence)},
+          {"bmf evidence, raw", bmf(false, HyperSelection::kEvidence)},
+          {"univariate bmf",
+           [&]() -> std::unique_ptr<MomentEstimator> {
+             return std::make_unique<UnivariateBmfEstimator>(early, cv);
+           }},
+      };
+  for (const std::size_t n : {1, 2, 3, 5, 17, 64, 300, 512}) {
+    const Matrix rows = draws(late, n, 2215);
+    for (const auto& [label, make] : strategies) {
+      SCOPED_TRACE(label + ", n = " + std::to_string(n));
+      const EstimateResult batch = make()->estimate(rows, late_nominal);
+      const std::unique_ptr<MomentEstimator> stream = make();
+      stream->set_nominal(late_nominal);
+      stream->observe(rows);
+      EXPECT_TRUE(same_estimate(batch, stream->snapshot()));
+    }
+  }
+}
+
+TEST(MomentEstimatorApi, ConstEstimateIsThreadSafe) {
+  // estimate() writes no shared state: threads sharing one shift/scale
+  // estimator, alternating between two nominals, each get what a lone
+  // caller gets, bit for bit. tier1.sh runs this under ThreadSanitizer.
+  const GaussianMoments truth = toy_moments(3);
+  const BmfEstimator bmf(
+      EarlyStageKnowledge{truth, truth.mean},
+      BmfConfig{}.with_cv(CrossValidationConfig{}.with_grid(4, 4)));
+  const Matrix late = draws(truth, 24, 21);
+  const std::vector<Vector> nominals{truth.mean,
+                                     truth.mean + Vector{0.25, -0.5, 0.1}};
+  const std::vector<EstimateResult> expected{bmf.estimate(late, nominals[0]),
+                                             bmf.estimate(late, nominals[1])};
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 6;
+  std::vector<std::vector<EstimateResult>> got(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          got[t].push_back(bmf.estimate(late, nominals[(t + round) % 2]));
+        }
+      } catch (const std::exception& e) {
+        errors[t] = e.what();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(errors[t], "") << "thread " << t;
+    ASSERT_EQ(got[t].size(), kRounds);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      EXPECT_TRUE(same_estimate(got[t][round], expected[(t + round) % 2]))
+          << "thread " << t << ", round " << round;
+    }
+  }
 }
 
 TEST(MomentEstimatorApi, BmfBatchHonorsEvidenceSelection) {

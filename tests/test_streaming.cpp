@@ -19,6 +19,7 @@
 #include "core/estimator.hpp"
 #include "core/mle.hpp"
 #include "core/univariate_bmf.hpp"
+#include "same_estimate.hpp"
 #include "stats/stat_stream.hpp"
 #include "stats/stat_wire.hpp"
 #include "stats/sufficient_stats.hpp"
@@ -42,6 +43,7 @@ using linalg::Vector;
 using stats::StatStream;
 using stats::StatsShard;
 using stats::SufficientStats;
+using testing_support::same_estimate;
 
 // ------------------------------------------------------------- test data
 
@@ -428,6 +430,8 @@ TEST_F(StreamingParity, MleRawSpaceParityWithinConditioningBound) {
 }
 
 TEST_F(StreamingParity, BmfSnapshotMatchesBatchFit) {
+  // A batch estimate folds its rows through the stream's own accumulators,
+  // stream space and core: bit for bit the snapshot.
   BmfEstimator bmf = make_bmf();
   const EstimateResult batch =
       bmf.estimate(late_->samples(), *late_nominal_);
@@ -435,17 +439,12 @@ TEST_F(StreamingParity, BmfSnapshotMatchesBatchFit) {
   for (std::size_t r = 0; r < late_->sample_count(); ++r) {
     bmf.observe(late_->samples().row(r));
   }
-  const EstimateResult streamed = bmf.snapshot();
-  // Identical fold split and hyper-parameter grid; only the summation
-  // grouping inside each fold differs (sequential vs pairwise tree).
-  EXPECT_EQ(streamed.kappa0, batch.kappa0);
-  EXPECT_EQ(streamed.nu0, batch.nu0);
-  EXPECT_LE(relative_gap(streamed, batch), 1e-12);
+  EXPECT_TRUE(same_estimate(bmf.snapshot(), batch));
 }
 
 TEST_F(StreamingParity, UnivariateSnapshotMatchesBatchFit) {
-  // The univariate baseline works in caller-normalized space (like its
-  // batch entry point), so normalize the fig. 4 data first.
+  // The univariate baseline works in caller-normalized space, so normalize
+  // the fig. 4 data first.
   const core::ShiftScale transform = make_bmf().late_transform(*late_nominal_);
   const Matrix scaled = transform.apply(late_->samples());
   const core::GaussianMoments early_scaled = estimate_mle(
@@ -455,8 +454,7 @@ TEST_F(StreamingParity, UnivariateSnapshotMatchesBatchFit) {
   for (std::size_t r = 0; r < scaled.rows(); ++r) {
     uni.observe(scaled.row(r));
   }
-  const EstimateResult streamed = uni.snapshot();
-  EXPECT_LE(relative_gap(streamed, batch), 1e-12);
+  EXPECT_TRUE(same_estimate(uni.snapshot(), batch));
 }
 
 TEST_F(StreamingParity, MergedEstimatorsMatchSingleStream) {
@@ -497,28 +495,34 @@ TEST_F(StreamingParity, ExportAbsorbRoundTripMatches) {
 
 // ----------------------------------------------- streaming API contracts
 
-TEST_F(StreamingParity, EstimatorsAcceptPrebuiltStats) {
-  // O(1)-conditioned samples: stats-only and batch answers coincide.
-  const Matrix well_scaled = synthetic_samples(500, 3, 59);
-  MleEstimator mle;
-  const EstimateResult from_stats =
-      mle.estimate(SufficientStats::from_samples(well_scaled));
-  const EstimateResult from_samples = mle.estimate(well_scaled);
-  EXPECT_LE(relative_gap(from_stats, from_samples), 1e-12);
-
+TEST_F(StreamingParity, AbsorbedSummarySelectsByEvidence) {
+  // One absorbed raw-space summary fills one fold, so snapshot() cannot
+  // cross-validate: it selects by evidence on the summary carried into the
+  // scaled space, and fuses there.
   const SufficientStats stats =
       SufficientStats::from_samples(late_->samples());
-  BmfEstimator bmf = make_bmf();
-  const EstimateResult bmf_stats = bmf.estimate(stats, *late_nominal_);
-  EXPECT_TRUE(std::isfinite(bmf_stats.kappa0));  // evidence-selected
-  EXPECT_TRUE(std::isfinite(bmf_stats.moments.mean[0]));
-
-  // absorb() of the same single summary downgrades snapshot() to the same
-  // evidence-selected path: identical answer.
   BmfEstimator streaming = make_bmf();
   streaming.set_nominal(*late_nominal_);
   streaming.absorb(stats);
-  EXPECT_LE(relative_gap(streaming.snapshot(), bmf_stats), 1e-12);
+  const EstimateResult absorbed = streaming.snapshot();
+
+  const core::StageTransforms transforms = core::make_stage_transforms(
+      streaming.early().nominal, *late_nominal_, streaming.early().moments);
+  const core::GaussianMoments early_scaled =
+      transforms.early.apply(streaming.early().moments);
+  const SufficientStats late_scaled = transforms.late.apply(stats);
+  const core::CrossValidationResult evidence =
+      core::select_hyperparameters_evidence(early_scaled, late_scaled,
+                                            streaming.config().cv);
+  EXPECT_EQ(absorbed.kappa0, evidence.kappa0);
+  EXPECT_EQ(absorbed.nu0, evidence.nu0);
+  EXPECT_EQ(absorbed.score, evidence.score);
+  const core::GaussianMoments fused = BmfEstimator::fuse_at(
+      early_scaled, late_scaled, evidence.kappa0, evidence.nu0);
+  EXPECT_EQ(max_abs_diff(absorbed.scaled_moments.mean, fused.mean), 0.0);
+  EXPECT_EQ(max_abs_diff(absorbed.scaled_moments.covariance,
+                         fused.covariance),
+            0.0);
 }
 
 TEST_F(StreamingParity, NominalImmutableOnceObserved) {
